@@ -288,6 +288,8 @@ class Program:
     p: int
     instructions: tuple
     spec: object = None
+    # execution plan cache owned by engine.execute; not part of the value
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_bits < 1:
@@ -305,6 +307,14 @@ class Program:
     @property
     def N(self):
         return 1 << self.n_bits
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_plans"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _plans={})
 
 
 _START, _AFTER_LEFT, _AFTER_RIGHT = 0, 1, 2

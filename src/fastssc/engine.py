@@ -1,17 +1,47 @@
 """Batched interpreter for compiled decoder programs.
 
 The engine is a behavioral model of the hardware datapath: per-stage alpha
-buffers hold soft values, per-stage beta buffers hold the left and right
-child decisions, and instructions read and write whole stage buffers.  All
-buffers carry a leading frame axis, so one pass decodes a batch.  Resource
-limits (P) never change values here; they only matter to the latency
-estimate and the optional debug check on modeled memory accesses.
+buffers hold soft values, a beta memory holds the decisions, and
+instructions read and write whole stage buffers.  All buffers carry a
+leading frame axis, so one pass decodes a batch.  Resource limits (P) never
+change values here; they only matter to the latency estimate and the
+optional debug check on modeled memory accesses.
+
+The first call for a given batch size B and saturation limit (which also
+fixes the value type) links the program: one walk over the instructions
+binds each one to its operands, views into planned buffers, and yields a
+list of steps.  The plan is cached on the Program; later calls of the same
+shape only gather the input and run the steps.  A plan holds
+
+- one alpha buffer of shape (B, 2^s) per stage s = 0..n, alpha[n] being
+  the channel vector in natural (tree) order;
+- one flat scratch buffer of B*N/2 values, the temporary of F;
+- one natural-order (B, N) beta array, one byte per decision.  The node at
+  (start, 2^s) owns beta[:, start:start+2^s], so COMBINE is an in-place XOR
+  of its halves, COMBINE-0R a half copy, and merged and leaf steps write
+  their slice directly.
+
+That is about (2N + N/2)*B*itemsize + N*B bytes.  Only the plan of the most
+recent call shape is kept, and a running call takes it out of the cache, so
+concurrent calls never share buffers.
+
+Values are float64 in the float domain.  In fixed point they use the
+narrowest signed integer that holds 2*internal_limit (int8 up to W=7, int16
+up to W=15, int32 up to W=31), so G forms b +- a without widening and then
+clips in place.
 """
+
+from functools import partial
 
 import numpy as np
 
 from .compiler import Opcode
-from .kernels import combine_op, decode_ml4, decode_rep, decode_rep_spc, decode_spc, f_op, g_op, hd_op
+# The steps inline the oracle's F, G, COMBINE and hard-decision formulas;
+# f_op, g_op, combine_op and hd_op stay importable here for tracers that wrap
+# this module's kernel names.  Leaf decoders are looked up here at run time.
+from .kernels import (  # noqa: F401
+    combine_op, decode_ml4, decode_rep, decode_rep_spc, decode_spc, f_op, g_op, hd_op,
+)
 from .polar import bit_reverse_permutation, extract_info
 
 
@@ -30,7 +60,7 @@ def execute(program, channel_llrs, quant=None, debug=False):
     ----------
     program : Program
     channel_llrs : array_like, shape (..., N)
-        Floats, or already-quantized integers when quant is given.
+        Finite floats, or already-quantized integers when quant is given.
     quant : QuantScheme, optional
         Selects the saturating fixed-point domain.
     debug : bool
@@ -52,29 +82,24 @@ def execute(program, channel_llrs, quant=None, debug=False):
         lim = quant.channel_limit
         if np.abs(x, dtype=np.int64).max(initial=0) > lim:
             raise ValueError(f"channel LLRs exceed the +-{lim} channel range")
-        x = x.astype(np.int32)
         sat = quant.internal_limit
     else:
-        x = x.astype(np.float64)
+        if not np.isfinite(x).all():
+            raise ValueError("channel LLRs must be finite (found NaN or infinity)")
         sat = None
-    n = program.n_bits
-    # channel vectors arrive in transmission (bit-reversed) order; the
-    # instruction schedule walks the natural-order tree
-    rev = bit_reverse_permutation(n)
-    out = np.zeros(x.shape, dtype=np.uint8)
-    alpha = {n: x[:, rev]}
-    betal = {}
-    betar = {}
-    for pc, ins in enumerate(program.instructions):
-        if debug:
+    if debug:
+        for pc, ins in enumerate(program.instructions):
             _check_access(ins, program.p, pc)
-        try:
-            _step(ins, n, alpha, betal, betar, out, sat)
-        except EngineError:
-            raise
-        except Exception as exc:
-            raise EngineError(str(exc), pc=pc)
-    out = out[:, rev]
+    key = (x.shape[0], sat)
+    plans = program._plans
+    plan = plans.pop(key, None)
+    if plan is None:
+        plan = _link(program, *key)
+    try:
+        out = _run(plan, x)
+    finally:
+        plans.clear()
+        plans[key] = plan
     return out.reshape(lead + (program.N,)) if lead else out[0]
 
 
@@ -86,52 +111,110 @@ def decode_info(program, channel_llrs, quant=None, debug=False):
     return extract_info(beta, program.spec)
 
 
-def _step(ins, n, alpha, betal, betar, out, sat):
-    op, s = ins.op, ins.stage
-    if op is Opcode.F or op is Opcode.G or op is Opcode.G_0R:
-        src = alpha[s + 1]
-        a, b = src[:, : 1 << s], src[:, 1 << s :]
-        if op is Opcode.F:
-            alpha[s] = f_op(a, b)
-        elif op is Opcode.G:
-            alpha[s] = g_op(a, b, betal[s], sat)
+def _run(plan, x):
+    steps, root, beta, rev = plan
+    # channel vectors arrive in transmission (bit-reversed) order; the
+    # instruction schedule walks the natural-order tree
+    np.take(x.astype(root.dtype, copy=False), rev, axis=1, out=root)
+    try:
+        for pc, step in enumerate(steps):
+            step()
+    except Exception as exc:
+        raise EngineError(str(exc), pc=pc) from exc
+    return np.take(beta, rev, axis=1).view(np.uint8)
+
+
+def _link(program, batch, sat):
+    """Bind every instruction to views of freshly planned buffers."""
+    n = program.n_bits
+    # fixed point: the narrowest signed integer that holds b +- a unclipped
+    dtype = np.dtype(np.float64) if sat is None else np.min_scalar_type(-2 * sat)
+    alpha = [np.empty((batch, 1 << s), dtype) for s in range(n + 1)]
+    scratch = np.empty(batch << (n - 1), dtype)
+    beta = np.zeros((batch, 1 << n), np.bool_)
+    minus2 = dtype.type(-2)
+    start = [0] * (n + 1)  # first leaf index of the open node at each stage
+    steps = []
+    for ins in program.instructions:
+        op, s = ins.op, ins.stage
+        size = 1 << s
+        if op is Opcode.F or op is Opcode.G or op is Opcode.G_0R:
+            # descent: stage s child values from the open stage s+1 node
+            parent = start[s + 1]
+            a, b = alpha[s + 1][:, :size], alpha[s + 1][:, size:]
+            if op is Opcode.F:
+                start[s] = parent
+                tmp = scratch[: batch * size].reshape(batch, size)
+                steps.append(partial(_f, a, b, alpha[s], tmp))
+            else:
+                start[s] = parent + size
+                left = beta[:, parent : parent + size] if op is Opcode.G else None
+                steps.append(partial(_g, a, b, left, alpha[s], minus2, sat))
+            continue
+        lo, mid, hi = start[s], start[s] + size // 2, start[s] + size
+        node, left, right = beta[:, lo:hi], beta[:, lo:mid], beta[:, mid:hi]
+        if op is Opcode.COMBINE:
+            steps.append(partial(np.bitwise_xor, left, right, out=left))
+        elif op is Opcode.COMBINE_0R:
+            steps.append(partial(np.copyto, left, right))
+        elif op is Opcode.R1:
+            steps.append(partial(np.less, alpha[s], 0, out=node))
+        elif op in _LEAVES:
+            steps.append(partial(_leaf, _LEAVES[op], alpha[s], node, sat))
         else:
-            alpha[s] = g_op(a, b, 0, sat)
-        return
-    if op is Opcode.COMBINE:
-        val = combine_op(betal[s - 1], betar[s - 1])
-    elif op is Opcode.COMBINE_0R:
-        br = betar[s - 1]
-        val = np.concatenate((br, br), axis=-1)
-    elif op is Opcode.P_R1 or op is Opcode.P_RSPC:
-        src = alpha[s]
-        half = 1 << (s - 1)
-        bl = betal[s - 1]
-        ar = g_op(src[:, :half], src[:, half:], bl, sat)
-        br = hd_op(ar) if op is Opcode.P_R1 else decode_spc(ar)
-        val = np.concatenate((bl ^ br, br), axis=-1)
-    elif op is Opcode.P_01 or op is Opcode.P_0SPC:
-        src = alpha[s]
-        half = 1 << (s - 1)
-        ar = g_op(src[:, :half], src[:, half:], 0, sat)
-        br = hd_op(ar) if op is Opcode.P_01 else decode_spc(ar)
-        val = np.concatenate((br, br), axis=-1)
-    elif op is Opcode.REP:
-        val = decode_rep(alpha[s])
-    elif op is Opcode.REP_SPC:
-        val = decode_rep_spc(alpha[s], sat)
-    elif op is Opcode.ML:
-        val = decode_ml4(alpha[s])
-    elif op is Opcode.R1:
-        val = hd_op(alpha[s])
+            # P-*: G into the free stage s-1 buffer, decide the right child,
+            # then close the node
+            a, b = alpha[s][:, : size // 2], alpha[s][:, size // 2 :]
+            merged_left = left if op in (Opcode.P_R1, Opcode.P_RSPC) else None
+            parity = op in (Opcode.P_RSPC, Opcode.P_0SPC)
+            steps.append(partial(_merged, a, b, merged_left, alpha[s - 1], minus2, sat,
+                                 parity, left, right))
+    return steps, alpha[n], beta, bit_reverse_permutation(n)
+
+
+def _f(a, b, out, tmp):
+    """Min-sum F, max(min(a, b), -max(a, b)): equals f_op, sign(0) = +."""
+    np.minimum(a, b, out=out)
+    np.maximum(a, b, out=tmp)
+    np.negative(tmp, out=tmp)
+    np.maximum(out, tmp, out=out)
+
+
+def _g(a, b, beta_l, out, minus2, sat):
+    """G, b + a*(1 - 2*beta_l), saturated when sat is set; G-0R has no beta_l."""
+    if beta_l is None:
+        np.add(a, b, out=out)
     else:
-        raise ValueError(f"unhandled opcode {op}")
-    if s == n:
-        out[:, :] = val
-    elif ins.right:
-        betar[s] = val
+        np.multiply(beta_l, minus2, out=out)
+        np.add(out, 1, out=out)
+        np.multiply(out, a, out=out)
+        np.add(out, b, out=out)
+    if sat is not None:
+        np.clip(out, -sat, sat, out=out)
+
+
+def _merged(a, b, beta_l, values, minus2, sat, parity, left, right):
+    """P-R1 / P-RSPC (beta_l is the left half) and P-01 / P-0SPC (beta_l None)."""
+    _g(a, b, beta_l, values, minus2, sat)
+    if parity:
+        right[...] = decode_spc(values)
     else:
-        betal[s] = val
+        np.less(values, 0, out=right)
+    if beta_l is None:
+        np.copyto(left, right)
+    else:
+        np.bitwise_xor(left, right, out=left)
+
+
+def _leaf(decode, src, dst, sat):
+    dst[...] = decode(src, sat)
+
+
+_LEAVES = {
+    Opcode.REP: lambda v, sat: decode_rep(v),
+    Opcode.REP_SPC: lambda v, sat: decode_rep_spc(v, sat),
+    Opcode.ML: lambda v, sat: decode_ml4(v),
+}
 
 
 def _check_access(ins, p, pc):

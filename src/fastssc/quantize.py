@@ -22,8 +22,8 @@ class QuantScheme:
     f_frac: int
 
     def __post_init__(self):
-        if self.w_internal < 2:
-            raise ValueError(f"internal width must be >= 2, got {self.w_internal}")
+        if not 2 <= self.w_internal <= 31:
+            raise ValueError(f"internal width must be in [2, 31], got {self.w_internal}")
         if not 2 <= self.w_channel <= self.w_internal:
             raise ValueError(
                 f"channel width must be in [2, {self.w_internal}], got {self.w_channel}"

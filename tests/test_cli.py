@@ -161,6 +161,23 @@ def test_decode_quantized(tmp_path, capsys):
     assert "integer LLR values required" in err
 
 
+def test_decode_rejects_non_finite_llrs(tmp_path, capsys):
+    mask = tmp_path / "mask.txt"
+    prog_path = tmp_path / "prog.txt"
+    run_cli(capsys, "construct", "--n-bits", "3", "--k", "5",
+            "--design-sigma2", "0.5", "-o", str(mask))
+    run_cli(capsys, "compile", "--mask", str(mask), "--p", "8", "-o", str(prog_path))
+    for bad in ("nan", "inf", "-inf"):
+        llrs = tmp_path / "llr.txt"
+        write_lines(llrs, ["1.0 -1.0 1.0 1.0 1.0 1.0 1.0 1.0",
+                           f"1.0 {bad} 1.0 1.0 1.0 1.0 1.0 1.0"])
+        rc, out, err = run_cli(capsys, "decode", "--program", str(prog_path),
+                               "--in", str(llrs))
+        assert rc == 2
+        assert "finite" in err
+        assert out == ""
+
+
 def test_decode_usage_errors(tmp_path, capsys):
     llrs = tmp_path / "llr.txt"
     write_lines(llrs, ["1.0 -1.0 1.0 1.0 1.0 1.0 1.0 1.0"])

@@ -1,15 +1,20 @@
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from fastssc.compiler import (
     NodeRuleSet,
+    Opcode,
     build_tree,
     compile_tree,
     parse_program,
     rules_from_names,
     serialize_program,
 )
-from fastssc.engine import decode_info, execute
+from fastssc.engine import EngineError, decode_info, execute
 from fastssc.polar import (
     CodeSpec,
     construct_frozen_set,
@@ -17,7 +22,7 @@ from fastssc.polar import (
     encode_systematic,
     extract_info,
 )
-from fastssc.quantize import QuantScheme, quantize_channel
+from fastssc.quantize import QuantScheme, parse_quant, quantize_channel
 from fastssc.reference import sc_decode
 from fastssc.simulate import awgn_bpsk_llr, ebno_to_sigma2
 
@@ -185,3 +190,104 @@ def test_single_frame_and_batch_shapes():
     prog = compile_tree(build_tree(spec, 32))
     assert execute(prog, np.ones(32)).shape == (32,)
     assert execute(prog, np.ones((7, 32))).shape == (7, 32)
+
+
+def test_debug_mode_reports_offending_pc():
+    # at P=2 a stage-3 REP-SPC reads 8 values in one cycle, over the 2P=4 limit
+    spec = construct_frozen_set(7, 52, 0.5)
+    prog = compile_tree(build_tree(spec, 2))
+    ops = [ins.op for ins in prog.instructions]
+    want = ops.index(Opcode.REP_SPC)
+    assert want > 0
+    _, _, llr = noisy_llrs(spec, 2, 3.0, seed=17)
+    with pytest.raises(EngineError) as e:
+        execute(prog, llr, debug=True)
+    assert e.value.pc == want
+    assert execute(prog, llr).shape == (2, 128)
+
+
+def test_rejects_non_finite_llrs():
+    spec = construct_frozen_set(5, 16, 0.5)
+    prog = compile_tree(build_tree(spec, 16))
+    for bad in (np.nan, np.inf, -np.inf):
+        llr = np.ones((3, 32))
+        llr[1, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            execute(prog, llr)
+        with pytest.raises(ValueError, match="finite"):
+            execute(prog, llr[1])
+    assert not execute(prog, np.full(32, 1e300)).any()
+
+
+@pytest.mark.parametrize("scheme", ["7:5:1", "8:8:0", "15:12:2", "16:16:0", "31:31:0"])
+def test_fixed_point_widths_match_reference_when_saturating(scheme):
+    """Clean frames at the channel limit drive G into saturation at every width."""
+    q = parse_quant(scheme)
+    spec = construct_frozen_set(8, 160, 0.5)
+    prog = compile_tree(build_tree(spec, 64, NO_ML4))
+    rng = np.random.default_rng(18)
+    a = rng.integers(0, 2, size=(16, 160), dtype=np.uint8)
+    x = encode_systematic(a, spec)
+    llr = ((1 - 2 * x.astype(np.int64)) * q.channel_limit).astype(np.int32)
+    got = execute(prog, llr, quant=q)
+    assert np.array_equal(got, x)
+    assert np.array_equal(got, sc_decode(llr, spec, quant=q))
+
+
+def test_plan_reuse_across_batch_sizes_and_domains():
+    q = QuantScheme(7, 5, 1)
+    spec = construct_frozen_set(7, 70, 0.5)
+    rules = NO_ML4
+    _, _, llr = noisy_llrs(spec, 128, 2.0, seed=19)
+    llr_q = quantize_channel(llr, q)
+    want_float = sc_decode(llr, spec)
+    # fixed point may differ from SC on ties; a fresh program is the reference
+    want_fixed = execute(compile_tree(build_tree(spec, 64, rules)), llr_q, quant=q)
+    prog = compile_tree(build_tree(spec, 64, rules))
+    for size in (1, 7, 128, 7, 1, 128):
+        for off in (0, 128 - size):
+            rows = slice(off, off + size)
+            assert np.array_equal(execute(prog, llr[rows]), want_float[rows])
+            assert np.array_equal(execute(prog, llr_q[rows], quant=q), want_fixed[rows])
+    assert np.array_equal(execute(prog, llr[5]), want_float[5])
+
+
+def test_concurrent_calls_share_no_buffers():
+    spec = construct_frozen_set(9, 256, 0.5)
+    prog = compile_tree(build_tree(spec, 64))
+    inputs = [noisy_llrs(spec, 32, 2.0, seed=s)[2] for s in (20, 21)]
+    serial = [execute(prog, x) for x in inputs]
+    barrier = threading.Barrier(2, timeout=30)
+    wrong = [0, 0]
+
+    def worker(i):
+        barrier.wait()
+        for _ in range(15):
+            wrong[i] += not np.array_equal(execute(prog, inputs[i]), serial[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == [0, 0]
+
+
+def test_plan_cache_is_not_pickled():
+    spec = construct_frozen_set(8, 128, 0.5)
+    prog = compile_tree(build_tree(spec, 64))
+    _, _, llr = noisy_llrs(spec, 64, 2.0, seed=22)
+    before = pickle.dumps(prog)
+    out = execute(prog, llr)
+    after = pickle.dumps(prog)
+    assert len(after) == len(before)
+    clone = pickle.loads(after)
+    assert clone.instructions == prog.instructions
+    assert repr(clone) == repr(prog)
+    assert np.array_equal(execute(clone, llr), out)

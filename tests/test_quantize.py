@@ -29,6 +29,16 @@ def test_scheme_field_validation():
         QuantScheme(6, 4, -1)
 
 
+def test_internal_width_is_bounded():
+    # wider internal values would not fit the engine's int32 working type
+    # (and the int32 channel quantizer would wrap)
+    assert QuantScheme(31, 31, 0).internal_limit == 2**30 - 1
+    with pytest.raises(ValueError):
+        QuantScheme(32, 20, 0)
+    with pytest.raises(ValueError):
+        parse_quant("40:36:0")
+
+
 def test_scheme_limits():
     q = QuantScheme(7, 5, 1)
     assert q.internal_limit == 63
