@@ -80,7 +80,7 @@ def execute(program, channel_llrs, quant=None, debug=False):
         if not np.issubdtype(x.dtype, np.integer):
             raise ValueError("fixed-point decoding expects integer channel LLRs")
         lim = quant.channel_limit
-        if np.abs(x, dtype=np.int64).max(initial=0) > lim:
+        if x.size and (int(x.min()) < -lim or int(x.max()) > lim):
             raise ValueError(f"channel LLRs exceed the +-{lim} channel range")
         sat = quant.internal_limit
     else:

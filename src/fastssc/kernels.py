@@ -38,8 +38,8 @@ def f_op(a, b):
 def g_op(a, b, beta_l, sat=None):
     """Path update: b + a where beta_l = 0, b - a where beta_l = 1.
 
-    With sat given, the sum is formed in a widened integer type and clamped
-    to [-sat, sat].
+    With sat given, the operands must be integers; the sum is formed in
+    int64 and clamped to [-sat, sat].
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -48,13 +48,14 @@ def g_op(a, b, beta_l, sat=None):
     bits = np.asarray(beta_l)
     if bits.ndim and bits.shape != a.shape:
         raise ValueError("beta shape differs from operands")
+    if sat is not None and not (np.issubdtype(a.dtype, np.integer)
+                                and np.issubdtype(b.dtype, np.integer)):
+        raise ValueError("saturating g_op needs integer operands")
     signed = np.where(bits != 0, -a, a)
     if sat is None:
         return b + signed
-    if np.issubdtype(a.dtype, np.integer):
-        s = np.add(b, signed, dtype=np.int64)
-        return np.clip(s, -sat, sat).astype(a.dtype)
-    return np.clip(b + signed, -sat, sat)
+    s = np.add(b, signed, dtype=np.int64)
+    return np.clip(s, -sat, sat).astype(a.dtype)
 
 
 def combine_op(beta_l, beta_r):

@@ -15,6 +15,7 @@ estimate by plain gathering.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -68,17 +69,41 @@ def encode_polar(u):
     -------
     ndarray of uint8, same shape.
     """
-    x = np.array(u, dtype=np.uint8, copy=True)
+    x = np.array(u, dtype=np.uint8, copy=True, order="C")
     if x.ndim == 0:
         raise ValueError("input must be at least one-dimensional")
     n = x.shape[-1]
     if n < 1 or n & (n - 1):
         raise ValueError(f"length {n} is not a power of two")
-    lead = x.shape[:-1]
+    return _butterfly(x)
+
+
+# Stage h < 8 of the butterfly within one little-endian uint64 word: byte i
+# of each 2h-byte block takes byte i + h, which the shift brings down.
+_IN_WORD = tuple(
+    (np.uint64(8 * h), np.uint64(low))
+    for h, low in ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0x00000000FFFFFFFF))
+)
+
+
+def _butterfly(x):
+    """The butterfly transform in place over the last axis of a C-contiguous uint8 array.
+
+    Rows of N >= 8 bytes run as uint64 words on little-endian hosts: the three
+    in-word stages shift and mask, the others XOR whole words.  XOR carries
+    nothing between bytes, so the result is the byte-wise transform exactly.
+    """
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)
+    if n >= 8 and sys.byteorder == "little":
+        rows = rows.view(np.uint64)
+        for shift, low in _IN_WORD:
+            rows ^= (rows >> shift) & low
+        n //= 8
     h = 1
     while h < n:
-        v = x.reshape(lead + (n // (2 * h), 2, h))
-        v[..., 0, :] ^= v[..., 1, :]
+        v = rows.reshape(-1, n // (2 * h), 2, h)
+        v[:, :, 0] ^= v[:, :, 1]
         h *= 2
     return x
 
@@ -132,6 +157,13 @@ class CodeSpec:
         p = np.flatnonzero(~self.frozen_mask)
         p.setflags(write=False)
         return p
+
+    @cached_property
+    def _keep(self):
+        """uint8 mask, 1 at unfrozen and 0 at frozen stored-order positions."""
+        m = (~self.frozen_mask).astype(np.uint8)
+        m.setflags(write=False)
+        return m
 
     def __repr__(self):
         return f"CodeSpec(N={self.N}, k={self.k}, design_sigma2={self.design_sigma2})"
@@ -233,7 +265,7 @@ def construct_frozen_set(n_bits, k, design_sigma2):
     return CodeSpec(frozen_mask=frozen_natural[rev], design_sigma2=design_sigma2)
 
 
-def encode_systematic(a, spec):
+def encode_systematic(a, spec, out=None):
     """Systematically encode information bits, batched over leading axes.
 
     The bits land at the unfrozen positions of the codeword, ascending, in
@@ -247,19 +279,28 @@ def encode_systematic(a, spec):
     ----------
     a : array_like of 0/1, shape (..., k)
     spec : CodeSpec
+    out : ndarray of uint8, shape (..., N), C-contiguous, optional
+        Receives the codewords; its previous contents are ignored.  By
+        default a fresh array is returned.
 
     Returns
     -------
-    ndarray of uint8, shape (..., N).
+    ndarray of uint8, shape (..., N); `out` when given.
     """
     a = np.asarray(a, dtype=np.uint8)
     if a.shape[-1] != spec.k:
         raise ValueError(f"expected {spec.k} information bits, got {a.shape[-1]}")
-    x = np.zeros(a.shape[:-1] + (spec.N,), dtype=np.uint8)
-    x[..., spec.info_positions] = a
-    u = encode_polar(x)
-    u[..., spec.frozen_mask] = 0
-    return encode_polar(u)
+    shape = a.shape[:-1] + (spec.N,)
+    if out is None:
+        out = np.zeros(shape, dtype=np.uint8)
+    elif out.shape != shape or out.dtype != np.uint8 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous uint8 array of shape {shape}")
+    else:
+        out.fill(0)
+    out[..., spec.info_positions] = a
+    _butterfly(out)
+    out *= spec._keep
+    return _butterfly(out)
 
 
 def extract_info(x, spec):

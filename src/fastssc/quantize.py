@@ -67,19 +67,22 @@ def parse_quant(text):
     return QuantScheme(w, wc, f)
 
 
-def quantize_channel(llr, scheme):
+def quantize_channel(llr, scheme, out=None):
     """Map real channel LLRs to saturated fixed-point integers.
 
     Values are scaled by 2**F, rounded to the nearest integer with ties away
-    from zero, and clamped to the symmetric channel range. Quantization is
-    monotone: x <= y implies quantize(x) <= quantize(y).
+    from zero, and clamped to the symmetric channel range; +-inf saturate.
+    Quantization is monotone: x <= y implies quantize(x) <= quantize(y).
 
     Parameters
     ----------
     llr : array_like or float
-        Channel LLR value(s).
+        Channel LLR value(s), not NaN.
     scheme : QuantScheme
         Target format.
+    out : ndarray of float64, optional
+        Scratch of llr's shape for the scaled values; it may be llr itself,
+        whose values are then consumed.  By default a fresh array is used.
 
     Returns
     -------
@@ -87,11 +90,16 @@ def quantize_channel(llr, scheme):
         int32 value(s) in [-channel_limit, +channel_limit].
     """
     x = np.asarray(llr, dtype=np.float64)
-    scaled = x * scheme.scale
-    # round half away from zero; np.round would round ties to even
-    q = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
+    s = np.multiply(x, scheme.scale, out=np.empty(x.shape) if out is None else out)
+    if np.isnan(s.min(initial=0.0)):
+        raise ValueError("channel LLRs must not be NaN")
     lim = scheme.channel_limit
-    q = np.clip(q, -lim, lim).astype(np.int32)
+    # clip first, then round half away from zero (np.round would round ties
+    # to even); the int cast truncates.  Same values as rounding
+    # sign(s)*floor(|s| + 0.5) first and clipping after.
+    np.clip(s, -lim, lim, out=s)
+    s += np.copysign(0.5, s)
+    q = s.astype(np.int32)
     if np.isscalar(llr) or np.ndim(llr) == 0:
         return int(q)
     return q

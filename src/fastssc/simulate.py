@@ -27,16 +27,28 @@ def ebno_to_sigma2(ebno_db, rate):
     return 1.0 / (2.0 * rate * 10.0 ** (ebno_db / 10.0))
 
 
-def awgn_bpsk_llr(x, sigma, rng):
+def awgn_bpsk_llr(x, sigma, rng, out=None):
     """Modulate bits to +-1, add white Gaussian noise, return channel LLRs.
 
     LLR_i = 2 y_i / sigma^2 with y = (1 - 2 x) + n, n ~ N(0, sigma^2).
+
+    out, a C-contiguous float64 array of x's shape, receives the LLRs when
+    given; they are formed in place with the same rounding, so the values do
+    not depend on it.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = np.asarray(x)
-    y = (1.0 - 2.0 * x) + sigma * rng.standard_normal(x.shape)
-    return 2.0 * y / (sigma * sigma)
+    if out is None:
+        out = np.empty(x.shape)
+    elif out.shape != x.shape:
+        raise ValueError(f"out must have shape {x.shape}, got {out.shape}")
+    y = rng.standard_normal(out=out)
+    y *= sigma
+    y += 1 - 2 * np.asarray(x, dtype=np.int8)  # +-1 as int8, exact in float64
+    y *= 2.0
+    y /= sigma * sigma
+    return y
 
 
 @dataclass
@@ -90,20 +102,23 @@ def run_simulation(config):
     program = compile_tree(build_tree(spec, config.p, config.rules))
     cycles = estimate_latency(program)
     rate = spec.k / spec.N
+    rows = min(config.batch_size, config.max_frames)
     results = []
-    pool = None
+    pool = work = None
     try:
         if config.workers > 1:
             pool = ProcessPoolExecutor(
                 max_workers=config.workers,
                 initializer=_init_worker,
-                initargs=(program, config.quant),
+                initargs=(program, config.quant, rows),
             )
+        else:
+            work = _workspace(rows, spec.N)
         for point_idx, ebno in enumerate(config.ebno_db):
             sigma2 = ebno_to_sigma2(ebno, rate)
             t0 = time.perf_counter()
             frames, bit_err, frame_err = _run_point(
-                program, config, point_idx, float(np.sqrt(sigma2)), pool
+                program, config, point_idx, float(np.sqrt(sigma2)), pool, work
             )
             elapsed = time.perf_counter() - t0
             results.append(
@@ -126,14 +141,14 @@ def run_simulation(config):
     return results
 
 
-def _run_point(program, config, point_idx, sigma, pool):
+def _run_point(program, config, point_idx, sigma, pool, work):
     frames = bit_err = frame_err = 0
     seed, batch, max_frames = config.seed, config.batch_size, config.max_frames
     if pool is None:
         b = 0
         while frame_err < config.min_frame_errors and frames < max_frames:
             size = min(batch, max_frames - frames)
-            be, fe = _sim_batch(program, config.quant, (seed, point_idx, b), sigma, size)
+            be, fe = _sim_batch(program, config.quant, (seed, point_idx, b), sigma, size, work)
             frames += size
             bit_err += be
             frame_err += fe
@@ -168,24 +183,35 @@ def _run_point(program, config, point_idx, sigma, pool):
 _WORK = {}
 
 
-def _init_worker(program, quant):
+def _init_worker(program, quant, rows):
     _WORK["program"] = program
     _WORK["quant"] = quant
+    _WORK["work"] = _workspace(rows, program.N)
 
 
 def _pool_task(entropy, sigma, size):
-    return _sim_batch(_WORK["program"], _WORK["quant"], entropy, sigma, size)
+    return _sim_batch(_WORK["program"], _WORK["quant"], entropy, sigma, size, _WORK["work"])
 
 
-def _sim_batch(program, quant, entropy, sigma, size):
-    """Decode one batch of random frames; returns (bit errors, frame errors)."""
+def _workspace(rows, n):
+    """Buffers one run reuses for every batch: (rows, n) codewords and LLRs."""
+    return np.empty((rows, n), np.uint8), np.empty((rows, n))
+
+
+def _sim_batch(program, quant, entropy, sigma, size, work):
+    """Decode one batch of random frames; returns (bit errors, frame errors).
+
+    The codewords and LLRs are formed in the first `size` rows of the
+    workspace; the drawn bits and the decisions are fresh arrays.
+    """
     spec = program.spec
+    codewords, llr = work[0][:size], work[1][:size]
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
     a = rng.integers(0, 2, size=(size, spec.k), dtype=np.uint8)
-    x = encode_systematic(a, spec)
-    llr = awgn_bpsk_llr(x, sigma, rng)
+    x = encode_systematic(a, spec, out=codewords)
+    llr = awgn_bpsk_llr(x, sigma, rng, out=llr)
     if quant is not None:
-        llr = quantize_channel(llr, quant)
+        llr = quantize_channel(llr, quant, out=llr)
     beta = execute(program, llr, quant)
     wrong = beta[:, spec.info_positions] != a
     return int(wrong.sum()), int(np.count_nonzero(wrong.any(axis=1)))

@@ -161,6 +161,22 @@ def test_decode_quantized(tmp_path, capsys):
     assert "integer LLR values required" in err
 
 
+def test_decode_quantized_rejects_nan(tmp_path, capsys):
+    mask = tmp_path / "mask.txt"
+    prog_path = tmp_path / "prog.txt"
+    run_cli(capsys, "construct", "--n-bits", "3", "--k", "5",
+            "--design-sigma2", "0.5", "-o", str(mask))
+    run_cli(capsys, "compile", "--mask", str(mask), "--p", "8", "-o", str(prog_path))
+    llrs = tmp_path / "llr.txt"
+    write_lines(llrs, ["3 -3 3 3 3 3 3 3", "3 nan 3 3 3 3 3 3"])
+    for algo in (["--program", str(prog_path)], ["--algo", "sc", "--mask", str(mask)]):
+        rc, out, err = run_cli(capsys, "decode", *algo, "--quant", "7:5:1", "--in", str(llrs))
+        assert rc == 2
+        assert "llr.txt:2: integer LLR values required" in err
+        assert "channel range" not in err
+        assert out == ""
+
+
 def test_decode_rejects_non_finite_llrs(tmp_path, capsys):
     mask = tmp_path / "mask.txt"
     prog_path = tmp_path / "prog.txt"

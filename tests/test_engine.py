@@ -158,6 +158,23 @@ def test_input_validation():
         execute(prog, np.zeros(8), quant=q)  # floats into the integer domain
     with pytest.raises(ValueError):
         execute(prog, np.full(8, 99, dtype=np.int32), quant=q)  # out of range
+    # the range check in every integer type, without widening
+    q8 = QuantScheme(8, 8, 0)  # channel range +-127
+    ok = np.full(8, 127, dtype=np.int8)
+    ok[3] = -127
+    assert execute(prog, ok, quant=q8).shape == (8,)
+    bad = [
+        (q8, np.r_[np.zeros(7), -128].astype(np.int8)),  # below the symmetric range
+        (q, np.r_[np.zeros(7), 8].astype(np.uint8)),
+        (q8, np.r_[np.zeros(7), 200].astype(np.uint8)),
+        (q8, np.r_[np.zeros(7), 2**31 + 5].astype(np.int64)),  # wraps to negative in int32
+        (q8, np.r_[np.zeros(7), -(2**40)].astype(np.int64)),
+    ]
+    for q, x in bad:
+        with pytest.raises(ValueError, match="exceed the"):
+            execute(prog, x, quant=q)
+        with pytest.raises(ValueError, match="exceed the"):
+            execute(prog, np.stack([np.zeros_like(x), x]), quant=q)
 
 
 def test_ml_instruction_executes():

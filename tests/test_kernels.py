@@ -66,6 +66,11 @@ def test_g_op_saturates_in_fixed_domain():
     b = np.array([31], dtype=np.int32)
     assert g_op(a, b, np.array([0]), sat=31) == [31]
     assert g_op(a, -b, np.array([1]), sat=31) == [-31]
+    assert g_op(a.astype(np.int8), b.astype(np.int8), np.array([0]), sat=31).dtype == np.int8
+    # saturation is a fixed-point operation: float operands are refused
+    for fa, fb in ((a.astype(float), b.astype(float)), (a, b.astype(float))):
+        with pytest.raises(ValueError, match="integer"):
+            g_op(fa, fb, np.array([0]), sat=31)
     with pytest.raises(ValueError):
         g_op(a, b, np.array([0, 1]))
 

@@ -1,3 +1,4 @@
+import sys
 from functools import reduce
 
 import numpy as np
@@ -71,12 +72,42 @@ def test_bit_reverse_permutation_is_involution():
         assert all(p[i] == bit_reverse(i, n) for i in range(1 << n))
 
 
+def encode_inputs(n, rng):
+    """Inputs of length 2^n in every layout and dtype encode_polar accepts."""
+    N = 1 << n
+    bits = rng.integers(0, 2, size=(2, 3, 2 * N), dtype=np.uint8)
+    return [
+        bits[0, 0, :N],                                   # 1-D
+        bits[0, :, :N],                                   # 2-D
+        bits[:, :, N:],                                   # 3-D, offset view
+        np.asfortranarray(bits[1, :, :N]),                # F-ordered
+        bits[:, :, ::2],                                  # strided last axis
+        bits[1, :, :N].astype(bool),
+        bits[0, :, N:].astype(np.int64),
+    ]
+
+
 def test_encode_polar_matches_matrix_product():
-    rng = np.random.default_rng(3)
-    for n in range(1, 5):
-        G = transform_matrix(n)
-        u = rng.integers(0, 2, size=(50, 1 << n), dtype=np.uint8)
-        assert np.array_equal(encode_polar(u), (u @ G) % 2)
+    rng = np.random.default_rng(30)
+    for n in range(1, 13):
+        # float32 sums of at most 2^12 ones are exact
+        G = transform_matrix(n).astype(np.float32)
+        for u in encode_inputs(n, rng):
+            before = u.copy()
+            got = encode_polar(u)
+            assert got.dtype == np.uint8 and got.shape == u.shape
+            assert np.array_equal(got, (u.astype(np.float32) @ G) % 2), (n, u.shape, u.dtype)
+            assert np.array_equal(u, before)
+
+
+def test_encode_polar_byte_loop_matches_word_path(monkeypatch):
+    # big-endian hosts run every stage byte by byte, as N < 8 does everywhere
+    rng = np.random.default_rng(31)
+    inputs = [u for n in range(1, 13) for u in encode_inputs(n, rng)]
+    words = [encode_polar(u) for u in inputs]
+    monkeypatch.setattr(sys, "byteorder", "big")
+    for u, want in zip(inputs, words):
+        assert np.array_equal(encode_polar(u), want)
 
 
 def test_encode_polar_is_involution():
@@ -188,6 +219,38 @@ def test_systematic_round_trip_random():
         assert np.array_equal(extract_info(x, spec), a)
         u = encode_polar(x)
         assert not u[:, spec.frozen_mask].any()
+
+
+def test_systematic_out_buffer_equals_fresh_result():
+    rng = np.random.default_rng(32)
+    # a mask that is not downward closed gives no codewords, but the same
+    # output whatever the buffer held before
+    odd = rng.random(64) < 0.3
+    odd[0] = True
+    specs = [construct_frozen_set(n, k, 0.5) for n, k in ((2, 3), (3, 5), (6, 40), (11, 1723))]
+    for spec in specs + [CodeSpec(frozen_mask=odd)]:
+        n, k = spec.n_bits, spec.k
+        for lead in ((), (7,), (2, 3)):
+            a = rng.integers(0, 2, size=lead + (k,), dtype=np.uint8)
+            want = encode_systematic(a, spec)
+            buf = np.full(lead + (1 << n,), 0xFF, dtype=np.uint8)  # stale contents
+            got = encode_systematic(a, spec, out=buf)
+            assert got is buf
+            assert np.array_equal(got, want)
+            # a partial-batch view of a larger workspace
+            if lead == (7,):
+                work = np.full((9, 1 << n), 0xFF, dtype=np.uint8)
+                assert np.array_equal(encode_systematic(a, spec, out=work[:7]), want)
+                assert (work[7:] == 0xFF).all()
+
+
+def test_systematic_out_validation():
+    spec = construct_frozen_set(4, 10, 0.5)
+    a = np.zeros((3, 10), dtype=np.uint8)
+    for bad in (np.zeros((3, 8), np.uint8), np.zeros((3, 16), np.int64),
+                np.zeros((16, 3), np.uint8).T):
+        with pytest.raises(ValueError):
+            encode_systematic(a, spec, out=bad)
 
 
 def test_systematic_shape_validation():

@@ -99,6 +99,56 @@ def test_quantize_channel_array_form():
     assert isinstance(quantize_channel(1.0, q), int)
 
 
+def parent_quantize(llr, scheme):
+    """The original formula: round sign(s)*floor(|s| + 0.5), then clip."""
+    scaled = np.asarray(llr, dtype=np.float64) * scheme.scale
+    q = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
+    lim = scheme.channel_limit
+    return np.clip(q, -lim, lim).astype(np.int32)
+
+
+SCHEMES = [QuantScheme(6, 4, 0), QuantScheme(7, 5, 1), QuantScheme(8, 8, 0),
+           QuantScheme(16, 12, 3), QuantScheme(31, 31, 5)]
+
+
+def quantize_grid(scheme):
+    """Ties at +-(k + 0.5), their float neighbours, signed zeros, huge and infinite values."""
+    lim = scheme.channel_limit
+    ks = np.unique(np.r_[np.arange(min(lim, 40) + 3), lim - 2 + np.arange(5)])
+    ties = (ks + 0.5) / scheme.scale
+    near = np.r_[ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf), ks / scheme.scale]
+    special = [0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, 5e-324, 0.49999999999999994]
+    rng = np.random.default_rng(7)
+    noise = rng.normal(scale=lim / scheme.scale, size=2000)
+    x = np.r_[near, special, noise]
+    return np.r_[x, -x]
+
+
+def test_quantize_channel_equals_original_formula():
+    for scheme in SCHEMES:
+        x = quantize_grid(scheme)
+        want = parent_quantize(x, scheme)
+        got = quantize_channel(x, scheme)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want), scheme
+        assert np.array_equal(quantize_channel(x.reshape(2, -1), scheme), want.reshape(2, -1))
+        assert [quantize_channel(float(v), scheme) for v in x[:50]] == want[:50].tolist()
+        # an out scratch, including the input itself, gives the same values
+        scratch = np.full(x.shape, np.nan)
+        assert np.array_equal(quantize_channel(x, scheme, out=scratch), want)
+        y = x.copy()
+        assert np.array_equal(quantize_channel(y, scheme, out=y), want)
+
+
+def test_quantize_channel_rejects_nan():
+    q = QuantScheme(7, 5, 1)
+    for bad in (np.nan, [1.0, np.nan, -np.inf], np.full((2, 3), np.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            quantize_channel(bad, q)
+    # infinities are not NaN: they saturate
+    assert np.array_equal(quantize_channel([np.inf, -np.inf], q), [15, -15])
+
+
 def test_sat_add():
     assert sat_add(5, -5, 6) == 0
     assert sat_add(31, 31, 6) == 31

@@ -1,9 +1,14 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from fastssc import simulate
 from fastssc.compiler import build_tree, compile_tree, estimate_latency
-from fastssc.polar import CodeSpec, construct_frozen_set
-from fastssc.quantize import QuantScheme
+from fastssc.engine import execute
+from fastssc.polar import CodeSpec, construct_frozen_set, encode_systematic
+from fastssc.quantize import QuantScheme, quantize_channel
 from fastssc.simulate import (
     SimConfig,
     awgn_bpsk_llr,
@@ -67,6 +72,139 @@ def test_awgn_seeded_reproducible():
     assert np.array_equal(a, b)
 
 
+def parent_awgn(x, sigma, rng):
+    """The original formula, one fresh temporary per operation."""
+    y = (1.0 - 2.0 * np.asarray(x)) + sigma * rng.standard_normal(np.shape(x))
+    return 2.0 * y / (sigma * sigma)
+
+
+def test_awgn_equals_original_formula():
+    bits = np.random.default_rng(9).integers(0, 2, size=(3, 5, 64), dtype=np.uint8)
+    for sigma in (0.05, 0.3, 0.7071067811865476, 1.0, 2.5, 40.0):
+        for x in (bits[0, 0], bits[0], bits, bits.astype(bool), bits[..., ::2]):
+            want = parent_awgn(x, sigma, np.random.default_rng(11))
+            got = awgn_bpsk_llr(x, sigma, np.random.default_rng(11))
+            assert np.array_equal(got, want)
+            buf = np.full(x.shape, np.nan)
+            assert awgn_bpsk_llr(x, sigma, np.random.default_rng(11), out=buf) is buf
+            assert np.array_equal(buf, want)
+    with pytest.raises(ValueError):
+        awgn_bpsk_llr(bits, 1.0, np.random.default_rng(0), out=np.empty((3, 5, 32)))
+
+
+def reference_run(cfg):
+    """(frames, bit errors, frame errors) per point from fresh arrays in every batch.
+
+    Re-derives the batch schedule and per-batch RNG streams of run_simulation
+    without its workspace; the stop rules are those of the serial path.
+    """
+    spec = cfg.spec
+    program = compile_tree(build_tree(spec, cfg.p, cfg.rules))
+    counts = []
+    for point, ebno in enumerate(cfg.ebno_db):
+        sigma = float(np.sqrt(ebno_to_sigma2(ebno, spec.k / spec.N)))
+        frames = bit_err = frame_err = b = 0
+        while frame_err < cfg.min_frame_errors and frames < cfg.max_frames:
+            size = min(cfg.batch_size, cfg.max_frames - frames)
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, point, b)))
+            a = rng.integers(0, 2, size=(size, spec.k), dtype=np.uint8)
+            llr = parent_awgn(encode_systematic(a, spec), sigma, rng)
+            if cfg.quant is not None:
+                llr = quantize_channel(llr, cfg.quant)
+            wrong = execute(program, llr, cfg.quant)[:, spec.info_positions] != a
+            frames += size
+            bit_err += int(wrong.sum())
+            frame_err += int(wrong.any(axis=1).sum())
+            b += 1
+        counts.append((frames, bit_err, frame_err))
+    return counts
+
+
+def counts(results):
+    return [(r.frames, r.bit_errors, r.frame_errors) for r in results]
+
+
+@pytest.mark.parametrize("quant", [None, QuantScheme(7, 5, 1)])
+def test_partial_last_batch_matches_fresh_arrays(quant):
+    # 200 = 3 * 64 + 8: the last batch uses 8 rows of the 64-row workspace;
+    # max_frames below batch_size sizes the workspace by max_frames
+    for max_frames, batch in ((200, 64), (40, 64)):
+        cfg = small_config(ebno_db=(1.5, 2.5), quant=quant, max_frames=max_frames,
+                           batch_size=batch, min_frame_errors=10_000)
+        got = counts(run_simulation(cfg))
+        assert got == reference_run(cfg)
+        assert [c[0] for c in got] == [max_frames] * 2
+
+
+def test_two_specs_alternate_in_one_process():
+    a = small_config(ebno_db=(2.0,), max_frames=300, min_frame_errors=10_000)
+    b = small_config(spec=construct_frozen_set(6, 40, 0.5), ebno_db=(3.0,),
+                     quant=QuantScheme(7, 5, 1), max_frames=300, batch_size=48,
+                     min_frame_errors=10_000)
+    want = {id(a): reference_run(a), id(b): reference_run(b)}
+    for cfg in (a, b, a, b):
+        assert counts(run_simulation(cfg)) == want[id(cfg)]
+
+
+def test_concurrent_runs_give_serial_csv():
+    # one code and batch size, so buffers keyed by shape would be shared
+    configs = [
+        small_config(ebno_db=(2.0, 3.0), max_frames=600, min_frame_errors=10_000),
+        small_config(ebno_db=(2.0,), quant=QuantScheme(7, 5, 1), max_frames=600,
+                     min_frame_errors=10_000),
+        small_config(ebno_db=(2.5,), seed=6, max_frames=600, min_frame_errors=10_000),
+    ]
+    want = [results_to_csv(run_simulation(c), include_throughput=False) for c in configs]
+    got = [[] for _ in configs]
+
+    def worker(i):
+        for _ in range(3):
+            got[i].append(results_to_csv(run_simulation(configs[i]), include_throughput=False))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(configs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 3 for w in want]
+
+
+def test_captured_bits_and_decisions_are_not_aliased(monkeypatch):
+    bits, decided = [], []
+
+    def capture(fn, sink, pick):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            sink.append(pick(args, out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(simulate, "encode_systematic",
+                        capture(simulate.encode_systematic, bits, lambda args, out: args[0]))
+    monkeypatch.setattr(simulate, "execute",
+                        capture(simulate.execute, decided, lambda args, out: out))
+    for quant in (None, QuantScheme(7, 5, 1)):
+        bits.clear()
+        decided.clear()
+        cfg = small_config(ebno_db=(1.5,), quant=quant, max_frames=200,
+                           min_frame_errors=10_000)
+        (r,) = run_simulation(cfg)
+        assert len(bits) == len(decided) == 4
+        arrays = bits + decided
+        for i, u in enumerate(arrays):
+            for v in arrays[i + 1:]:
+                assert not np.shares_memory(u, v)
+        # recounting from the captures gives the reported counts
+        wrong = np.concatenate(decided)[:, cfg.spec.info_positions] != np.concatenate(bits)
+        assert (r.bit_errors, r.frame_errors) == (int(wrong.sum()), int(wrong.any(axis=1).sum()))
+
+
 def test_run_simulation_deterministic():
     cfg = small_config(ebno_db=(2.0, 3.0))
     first = run_simulation(cfg)
@@ -85,14 +223,14 @@ def test_run_simulation_deterministic():
 
 
 def test_workers_match_serial():
-    serial = run_simulation(small_config(workers=1))
-    pooled = run_simulation(small_config(workers=2))
-    for r1, r2 in zip(serial, pooled):
-        assert (r1.frames, r1.bit_errors, r1.frame_errors) == (
-            r2.frames,
-            r2.bit_errors,
-            r2.frame_errors,
-        )
+    # the second run ends on a partial batch: 300 = 4 * 64 + 44
+    partial = dict(ebno_db=(1.5, 2.5), quant=QuantScheme(7, 5, 1), max_frames=300,
+                   min_frame_errors=10_000)
+    for cfg in ({}, partial):
+        serial = run_simulation(small_config(workers=1, **cfg))
+        pooled = run_simulation(small_config(workers=2, **cfg))
+        assert counts(pooled) == counts(serial)
+    assert [c[0] for c in counts(serial)] == [300, 300]
 
 
 def test_stops_on_frame_errors():
