@@ -19,7 +19,15 @@ shape only gather the input and run the steps.  A plan holds
 - one natural-order (B, N) beta array, one byte per decision.  The node at
   (start, 2^s) owns beta[:, start:start+2^s], so COMBINE is an in-place XOR
   of its halves, COMBINE-0R a half copy, and merged and leaf steps write
-  their slice directly.
+  their slice directly;
+- row scratch for the leaf steps: a (B, 1) sum and decision, a (B,) parity
+  and index, and (B, 4) ML4 scores.
+
+Leaf and P-* steps decode in place, with the kernels' results.  The stage
+s-1 alpha buffer is free while a stage-s node closes, so P-* write their G
+there; SPC magnitudes go into the F scratch.  REP and REP-SPC sum without
+saturation (int64 or float64); REP-SPC decides its repetition bit d first
+and then decodes the one parity branch d selects, as a P-RSPC.
 
 That is about (2N + N/2)*B*itemsize + N*B bytes.  Only the plan of the most
 recent call shape is kept, and a running call takes it out of the cache, so
@@ -36,11 +44,11 @@ from functools import partial
 import numpy as np
 
 from .compiler import Opcode
-# The steps inline the oracle's F, G, COMBINE and hard-decision formulas;
-# f_op, g_op, combine_op and hd_op stay importable here for tracers that wrap
-# this module's kernel names.  Leaf decoders are looked up here at run time.
+# The steps inline the kernels' formulas; the kernel names stay importable
+# here for tracers that wrap this module's kernel names.
 from .kernels import (  # noqa: F401
-    combine_op, decode_ml4, decode_rep, decode_rep_spc, decode_spc, f_op, g_op, hd_op,
+    ML4_CODEWORDS, combine_op, decode_ml4, decode_rep, decode_rep_spc, decode_spc, f_op,
+    g_op, hd_op,
 )
 from .polar import bit_reverse_permutation, extract_info
 
@@ -133,6 +141,16 @@ def _link(program, batch, sat):
     scratch = np.empty(batch << (n - 1), dtype)
     beta = np.zeros((batch, 1 << n), np.bool_)
     minus2 = dtype.type(-2)
+    # row scratch of the leaf steps; sums are unsaturated, as in the kernels
+    acc = np.empty((batch, 1), np.float64 if sat is None else np.int64)
+    d = np.empty((batch, 1), np.bool_)
+    rows = (np.empty(batch, np.uint8), np.empty(batch, np.intp), np.arange(batch))
+    scores = np.empty((batch, 4), acc.dtype)
+    signs = (1 - 2 * ML4_CODEWORDS.astype(np.int64)).T.astype(acc.dtype)
+
+    def tmp(size):  # F's temporary; also free for leaf and P-* steps
+        return scratch[: batch * size].reshape(batch, size)
+
     start = [0] * (n + 1)  # first leaf index of the open node at each stage
     steps = []
     for ins in program.instructions:
@@ -144,8 +162,7 @@ def _link(program, batch, sat):
             a, b = alpha[s + 1][:, :size], alpha[s + 1][:, size:]
             if op is Opcode.F:
                 start[s] = parent
-                tmp = scratch[: batch * size].reshape(batch, size)
-                steps.append(partial(_f, a, b, alpha[s], tmp))
+                steps.append(partial(_f, a, b, alpha[s], tmp(size)))
             else:
                 start[s] = parent + size
                 left = beta[:, parent : parent + size] if op is Opcode.G else None
@@ -159,16 +176,25 @@ def _link(program, batch, sat):
             steps.append(partial(np.copyto, left, right))
         elif op is Opcode.R1:
             steps.append(partial(np.less, alpha[s], 0, out=node))
-        elif op in _LEAVES:
-            steps.append(partial(_leaf, _LEAVES[op], alpha[s], node, sat))
+        elif op is Opcode.REP:
+            steps.append(partial(_rep, alpha[s], node, acc, d))
+        elif op is Opcode.ML:
+            steps.append(partial(_ml4, alpha[s], node, scores, signs, rows[1]))
         else:
-            # P-*: G into the free stage s-1 buffer, decide the right child,
-            # then close the node
-            a, b = alpha[s][:, : size // 2], alpha[s][:, size // 2 :]
-            merged_left = left if op in (Opcode.P_R1, Opcode.P_RSPC) else None
-            parity = op in (Opcode.P_RSPC, Opcode.P_0SPC)
-            steps.append(partial(_merged, a, b, merged_left, alpha[s - 1], minus2, sat,
-                                 parity, left, right))
+            # P-* and REP-SPC: G into the free stage s-1 buffer, decide the
+            # right child, close the node; REP-SPC first decides its left
+            # half, a REP of F
+            a, b, values = alpha[s][:, : size // 2], alpha[s][:, size // 2 :], alpha[s - 1]
+            if op in (Opcode.P_RSPC, Opcode.P_0SPC, Opcode.REP_SPC):
+                decide = partial(_spc, values, right, tmp(size // 2), *rows)
+            else:
+                decide = partial(np.less, values, 0, out=right)
+            merged_left = None if op in (Opcode.P_01, Opcode.P_0SPC) else left
+            step = partial(_merged, a, b, merged_left, values, minus2, sat, decide, left, right)
+            if op is Opcode.REP_SPC:
+                step = partial(_seq, partial(_f, a, b, tmp(4), values),
+                               partial(_rep, tmp(4), left, acc, d), step)
+            steps.append(step)
     return steps, alpha[n], beta, bit_reverse_permutation(n)
 
 
@@ -193,28 +219,43 @@ def _g(a, b, beta_l, out, minus2, sat):
         np.clip(out, -sat, sat, out=out)
 
 
-def _merged(a, b, beta_l, values, minus2, sat, parity, left, right):
-    """P-R1 / P-RSPC (beta_l is the left half) and P-01 / P-0SPC (beta_l None)."""
+def _merged(a, b, beta_l, values, minus2, sat, decide, left, right):
+    """P-R1 / P-RSPC / REP-SPC (beta_l is the decided left half) and P-01 /
+    P-0SPC (beta_l None): G into values, decide() the right half, close."""
     _g(a, b, beta_l, values, minus2, sat)
-    if parity:
-        right[...] = decode_spc(values)
-    else:
-        np.less(values, 0, out=right)
+    decide()
     if beta_l is None:
         np.copyto(left, right)
     else:
         np.bitwise_xor(left, right, out=left)
 
 
-def _leaf(decode, src, dst, sat):
-    dst[...] = decode(src, sat)
+def _spc(values, dst, mag, parity, least, frames):
+    """Wagner SPC, equals decode_spc: flip the lowest-index least |value| on odd parity."""
+    np.less(values, 0, out=dst)
+    np.bitwise_xor.reduce(dst.view(np.uint8), axis=1, out=parity)
+    np.abs(values, out=mag)
+    np.argmin(mag, axis=1, out=least)
+    dst[frames, least] ^= parity.view(np.bool_)
 
 
-_LEAVES = {
-    Opcode.REP: lambda v, sat: decode_rep(v),
-    Opcode.REP_SPC: lambda v, sat: decode_rep_spc(v, sat),
-    Opcode.ML: lambda v, sat: decode_ml4(v),
-}
+def _rep(values, dst, acc, d):
+    """Repetition, equals decode_rep: the sign of the unsaturated sum, broadcast."""
+    np.add.reduce(values, axis=1, dtype=acc.dtype, out=acc, keepdims=True)
+    np.less(acc, 0, out=d)
+    np.copyto(dst, d)
+
+
+def _seq(*steps):
+    for step in steps:
+        step()
+
+
+def _ml4(values, dst, scores, signs, pick):
+    """Correlation ML, equals decode_ml4: the earliest best of the four candidates."""
+    np.matmul(values, signs, out=scores)
+    np.argmax(scores, axis=1, out=pick)
+    np.take(ML4_CODEWORDS.view(np.bool_), pick, axis=0, out=dst, mode="clip")
 
 
 def _check_access(ins, p, pc):

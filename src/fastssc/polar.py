@@ -103,7 +103,9 @@ def _butterfly(x):
     h = 1
     while h < n:
         v = rows.reshape(-1, n // (2 * h), 2, h)
-        v[:, :, 0] ^= v[:, :, 1]
+        # narrow halves column by column: an inner loop of 2 or 4 is slow
+        for j in range(h) if h < 8 else (slice(None),):
+            v[:, :, 0, j] ^= v[:, :, 1, j]
         h *= 2
     return x
 
@@ -164,6 +166,21 @@ class CodeSpec:
         m = (~self.frozen_mask).astype(np.uint8)
         m.setflags(write=False)
         return m
+
+    @cached_property
+    def _gather(self):
+        """Source index of every stored-order position; frozen ones read bit 0."""
+        g = np.zeros(self.N, dtype=np.intp)
+        g[self.info_positions] = np.arange(self.k)
+        g.setflags(write=False)
+        return g
+
+    @cached_property
+    def _downward_closed(self):
+        """Whether every binary submask of a frozen index is frozen too."""
+        m = self.frozen_mask
+        return not any((h[:, 1] & ~h[:, 0]).any()
+                       for h in (m.reshape(-1, 2, 1 << b) for b in range(self.n_bits)))
 
     def __repr__(self):
         return f"CodeSpec(N={self.N}, k={self.k}, design_sigma2={self.design_sigma2})"
@@ -269,11 +286,12 @@ def encode_systematic(a, spec, out=None):
     """Systematically encode information bits, batched over leading axes.
 
     The bits land at the unfrozen positions of the codeword, ascending, in
-    source order.  Double-transform construction: scatter the bits into a
-    codeword-shaped vector, transform, zero the frozen positions, transform
-    again.  Everything stays in the one bit-reversed index space; validity
-    rests on the frozen set being downward closed under the binary-submask
-    order, which the reliability construction guarantees.
+    source order.  Double-transform construction: gather the bits into a
+    codeword-shaped vector with zeros at the frozen positions, transform,
+    zero the frozen positions, transform again.  Everything stays in the one
+    bit-reversed index space; validity rests on the frozen set being
+    downward closed under the binary-submask order, which the reliability
+    construction guarantees and which is checked (ValueError otherwise).
 
     Parameters
     ----------
@@ -290,14 +308,20 @@ def encode_systematic(a, spec, out=None):
     a = np.asarray(a, dtype=np.uint8)
     if a.shape[-1] != spec.k:
         raise ValueError(f"expected {spec.k} information bits, got {a.shape[-1]}")
+    if not spec._downward_closed:
+        raise ValueError("systematic encoding needs a frozen set that is downward "
+                         "closed under the binary-submask order")
     shape = a.shape[:-1] + (spec.N,)
     if out is None:
-        out = np.zeros(shape, dtype=np.uint8)
+        out = np.empty(shape, dtype=np.uint8)
     elif out.shape != shape or out.dtype != np.uint8 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous uint8 array of shape {shape}")
+    if spec.k:
+        # the indices are in range; mode="raise" would fill a buffered copy of out
+        np.take(a, spec._gather, axis=-1, out=out, mode="clip")
+        out *= spec._keep
     else:
         out.fill(0)
-    out[..., spec.info_positions] = a
     _butterfly(out)
     out *= spec._keep
     return _butterfly(out)

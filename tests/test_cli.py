@@ -136,6 +136,24 @@ def test_encode_decode_roundtrip(tmp_path, capsys):
     assert out == "\n".join(bits_text(x)) + "\n"
 
 
+def test_encode_rejects_mask_not_downward_closed(tmp_path, capsys):
+    # 3 = 0b011 is frozen but its submasks 1 and 2 are not
+    mask = tmp_path / "odd.txt"
+    mask.write_text("N=8\nk=6\n0 3\n")
+    infile = tmp_path / "info.txt"
+    write_lines(infile, ["111111"])
+    rc, out, err = run_cli(capsys, "encode", "--mask", str(mask), "--in", str(infile))
+    assert rc == 2
+    assert out == ""
+    assert "downward closed" in err
+    # decoding such a mask stays allowed
+    llrs = tmp_path / "llr.txt"
+    write_lines(llrs, ["1.0 -2.0 3.0 0.5 -1.5 2.0 1.0 -0.5"])
+    rc, out, _ = run_cli(capsys, "decode", "--algo", "sc", "--mask", str(mask), "--in", str(llrs))
+    assert rc == 0
+    assert len(out.split()) == 1
+
+
 def test_decode_quantized(tmp_path, capsys):
     mask = tmp_path / "mask.txt"
     prog_path = tmp_path / "prog.txt"

@@ -223,12 +223,16 @@ def test_systematic_round_trip_random():
 
 def test_systematic_out_buffer_equals_fresh_result():
     rng = np.random.default_rng(32)
-    # a mask that is not downward closed gives no codewords, but the same
-    # output whatever the buffer held before
+    # a mask that is not downward closed gives no codewords: refused, with
+    # or without a buffer
     odd = rng.random(64) < 0.3
     odd[0] = True
+    for out in (None, np.zeros((7, 64), np.uint8)):
+        with pytest.raises(ValueError, match="downward closed"):
+            encode_systematic(np.zeros((7, 64 - odd.sum()), np.uint8), CodeSpec(frozen_mask=odd),
+                              out=out)
     specs = [construct_frozen_set(n, k, 0.5) for n, k in ((2, 3), (3, 5), (6, 40), (11, 1723))]
-    for spec in specs + [CodeSpec(frozen_mask=odd)]:
+    for spec in specs:
         n, k = spec.n_bits, spec.k
         for lead in ((), (7,), (2, 3)):
             a = rng.integers(0, 2, size=lead + (k,), dtype=np.uint8)
