@@ -22,7 +22,7 @@ from .compiler import (
     serialize_program,
     serialize_program_binary,
 )
-from .engine import EngineError, decode_info, execute
+from .engine import EngineError, execute
 from .kernels import (
     ML4_CODEWORDS,
     combine_op,
@@ -48,7 +48,7 @@ from .polar import (
     spec_from_text,
     spec_to_text,
 )
-from .quantize import QuantScheme, parse_quant, quantize_channel, sat_add
+from .quantize import QuantScheme, parse_quant, quantize_channel
 from .reference import sc_decode
 from .simulate import (
     SimConfig,

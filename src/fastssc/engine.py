@@ -11,11 +11,17 @@ The first call for a given batch size B and saturation limit (which also
 fixes the value type) links the program: one walk over the instructions
 binds each one to its operands, views into planned buffers, and yields a
 list of steps.  The plan is cached on the Program; later calls of the same
-shape only gather the input and run the steps.  A plan holds
+shape only gather the input straight into the plan, run the steps and
+gather the decisions into the returned array.  That array is a call's only
+(B, N) allocation, unless the input needs a cast to the working dtype.  A
+plan holds
 
 - one alpha buffer of shape (B, 2^s) per stage s = 0..n, alpha[n] being
   the channel vector in natural (tree) order;
-- one flat scratch buffer of B*N/2 values, the temporary of F;
+- one flat scratch buffer of B*N/2 values, the temporary of F.  An F whose
+  (B, 2^s) output is larger than _F_BLOCK_BYTES (256 KB) is one step over
+  blocks of rows that fit it, and uses only the first block's worth of the
+  scratch, so its four passes run in L2 rather than DRAM;
 - one natural-order (B, N) beta array, one byte per decision.  The node at
   (start, 2^s) owns beta[:, start:start+2^s], so COMBINE is an in-place XOR
   of its halves, COMBINE-0R a half copy, and merged and leaf steps write
@@ -50,7 +56,12 @@ from .kernels import (  # noqa: F401
     ML4_CODEWORDS, combine_op, decode_ml4, decode_rep, decode_rep_spc, decode_spc, f_op,
     g_op, hd_op,
 )
-from .polar import bit_reverse_permutation, extract_info
+from .polar import bit_reverse_permutation
+
+
+# An F whose (B, 2^s) output exceeds this many bytes runs over row blocks
+# that fit it, so its four passes stay in L2 instead of streaming DRAM.
+_F_BLOCK_BYTES = 1 << 18
 
 
 class EngineError(RuntimeError):
@@ -92,7 +103,8 @@ def execute(program, channel_llrs, quant=None, debug=False):
             raise ValueError(f"channel LLRs exceed the +-{lim} channel range")
         sat = quant.internal_limit
     else:
-        if not np.isfinite(x).all():
+        # min and max carry any NaN or infinity, with no (B, N) mask
+        if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
             raise ValueError("channel LLRs must be finite (found NaN or infinity)")
         sat = None
     if debug:
@@ -111,19 +123,13 @@ def execute(program, channel_llrs, quant=None, debug=False):
     return out.reshape(lead + (program.N,)) if lead else out[0]
 
 
-def decode_info(program, channel_llrs, quant=None, debug=False):
-    """Execute and gather the information bits (source order)."""
-    if program.spec is None:
-        raise ValueError("program carries no code spec; decode the codeword instead")
-    beta = execute(program, channel_llrs, quant=quant, debug=debug)
-    return extract_info(beta, program.spec)
-
-
 def _run(plan, x):
     steps, root, beta, rev = plan
     # channel vectors arrive in transmission (bit-reversed) order; the
-    # instruction schedule walks the natural-order tree
-    np.take(x.astype(root.dtype, copy=False), rev, axis=1, out=root)
+    # instruction schedule walks the natural-order tree.  rev is a
+    # permutation, so mode="clip" never clips; mode="raise" would gather into
+    # a buffered copy of root first
+    np.take(x.astype(root.dtype, copy=False), rev, axis=1, out=root, mode="clip")
     try:
         for pc, step in enumerate(steps):
             step()
@@ -141,6 +147,7 @@ def _link(program, batch, sat):
     scratch = np.empty(batch << (n - 1), dtype)
     beta = np.zeros((batch, 1 << n), np.bool_)
     minus2 = dtype.type(-2)
+    bounds = None if sat is None else (dtype.type(-sat), dtype.type(sat))
     # row scratch of the leaf steps; sums are unsaturated, as in the kernels
     acc = np.empty((batch, 1), np.float64 if sat is None else np.int64)
     d = np.empty((batch, 1), np.bool_)
@@ -162,11 +169,15 @@ def _link(program, batch, sat):
             a, b = alpha[s + 1][:, :size], alpha[s + 1][:, size:]
             if op is Opcode.F:
                 start[s] = parent
-                steps.append(partial(_f, a, b, alpha[s], tmp(size)))
+                block, t = max(1, _F_BLOCK_BYTES // (size * dtype.itemsize)), tmp(size)
+                fs = [partial(_f, a[i : i + block], b[i : i + block], alpha[s][i : i + block],
+                              t[: min(block, batch - i)]) for i in range(0, batch, block)]
+                # narrow: _f itself; wide: one step over blocks that share the first rows of t
+                steps.append(fs[0] if len(fs) == 1 else partial(_seq, *fs))
             else:
                 start[s] = parent + size
                 left = beta[:, parent : parent + size] if op is Opcode.G else None
-                steps.append(partial(_g, a, b, left, alpha[s], minus2, sat))
+                steps.append(partial(_g, a, b, left, alpha[s], minus2, bounds))
             continue
         lo, mid, hi = start[s], start[s] + size // 2, start[s] + size
         node, left, right = beta[:, lo:hi], beta[:, lo:mid], beta[:, mid:hi]
@@ -190,7 +201,7 @@ def _link(program, batch, sat):
             else:
                 decide = partial(np.less, values, 0, out=right)
             merged_left = None if op in (Opcode.P_01, Opcode.P_0SPC) else left
-            step = partial(_merged, a, b, merged_left, values, minus2, sat, decide, left, right)
+            step = partial(_merged, a, b, merged_left, values, minus2, bounds, decide, left, right)
             if op is Opcode.REP_SPC:
                 step = partial(_seq, partial(_f, a, b, tmp(4), values),
                                partial(_rep, tmp(4), left, acc, d), step)
@@ -206,8 +217,9 @@ def _f(a, b, out, tmp):
     np.maximum(out, tmp, out=out)
 
 
-def _g(a, b, beta_l, out, minus2, sat):
-    """G, b + a*(1 - 2*beta_l), saturated when sat is set; G-0R has no beta_l."""
+def _g(a, b, beta_l, out, minus2, bounds):
+    """G, b + a*(1 - 2*beta_l), clipped to bounds (-sat, sat) when set; G-0R
+    has no beta_l.  The bounds are working-dtype scalars, so np.clip converts nothing."""
     if beta_l is None:
         np.add(a, b, out=out)
     else:
@@ -215,14 +227,14 @@ def _g(a, b, beta_l, out, minus2, sat):
         np.add(out, 1, out=out)
         np.multiply(out, a, out=out)
         np.add(out, b, out=out)
-    if sat is not None:
-        np.clip(out, -sat, sat, out=out)
+    if bounds is not None:
+        np.clip(out, *bounds, out=out)
 
 
-def _merged(a, b, beta_l, values, minus2, sat, decide, left, right):
+def _merged(a, b, beta_l, values, minus2, bounds, decide, left, right):
     """P-R1 / P-RSPC / REP-SPC (beta_l is the decided left half) and P-01 /
     P-0SPC (beta_l None): G into values, decide() the right half, close."""
-    _g(a, b, beta_l, values, minus2, sat)
+    _g(a, b, beta_l, values, minus2, bounds)
     decide()
     if beta_l is None:
         np.copyto(left, right)

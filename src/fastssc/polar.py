@@ -85,20 +85,30 @@ _IN_WORD = tuple(
     for h, low in ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0x00000000FFFFFFFF))
 )
 
+# The in-word stages run over chunks of this many words (256 KB), so their
+# shifted and masked temporary stays small and in cache.
+_CHUNK_WORDS = 1 << 15
+
 
 def _butterfly(x):
     """The butterfly transform in place over the last axis of a C-contiguous uint8 array.
 
     Rows of N >= 8 bytes run as uint64 words on little-endian hosts: the three
-    in-word stages shift and mask, the others XOR whole words.  XOR carries
-    nothing between bytes, so the result is the byte-wise transform exactly.
+    in-word stages shift and mask, chunk by chunk, the others XOR whole words.
+    XOR carries nothing between bytes, so the result is the byte-wise
+    transform exactly.
     """
     n = x.shape[-1]
     rows = x.reshape(-1, n)
     if n >= 8 and sys.byteorder == "little":
         rows = rows.view(np.uint64)
-        for shift, low in _IN_WORD:
-            rows ^= (rows >> shift) & low
+        words = rows.reshape(-1)
+        tmp = np.empty(min(words.size, _CHUNK_WORDS), np.uint64)
+        for i in range(0, words.size, _CHUNK_WORDS):
+            w = words[i : i + _CHUNK_WORDS]
+            t = tmp[: w.size]
+            for shift, low in _IN_WORD:
+                w ^= np.bitwise_and(np.right_shift(w, shift, out=t), low, out=t)
         n //= 8
     h = 1
     while h < n:

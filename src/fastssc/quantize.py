@@ -103,19 +103,3 @@ def quantize_channel(llr, scheme, out=None):
     if np.isscalar(llr) or np.ndim(llr) == 0:
         return int(q)
     return q
-
-
-def sat_add(a, b, width):
-    """Saturating signed addition at the given bit width.
-
-    The sum is computed exactly (inputs are assumed to fit comfortably in
-    int64) and clamped to the symmetric range of `width`-bit values.
-    """
-    if width < 2:
-        raise ValueError(f"width must be >= 2, got {width}")
-    lim = (1 << (width - 1)) - 1
-    s = np.add(a, b, dtype=np.int64)
-    s = np.clip(s, -lim, lim)
-    if np.ndim(s) == 0:
-        return int(s)
-    return s.astype(np.int32)

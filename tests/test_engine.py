@@ -10,11 +10,9 @@ from fastssc.compiler import (
     Opcode,
     build_tree,
     compile_tree,
-    parse_program,
     rules_from_names,
-    serialize_program,
 )
-from fastssc.engine import EngineError, decode_info, execute
+from fastssc.engine import EngineError, execute
 from fastssc.polar import (
     CodeSpec,
     construct_frozen_set,
@@ -103,22 +101,6 @@ def test_small_code_carries_info_in_order():
     out = execute(prog, 8.0 * (1.0 - 2.0 * x.astype(np.float64)))
     assert np.array_equal(out, x)
     assert np.array_equal(out[spec.info_positions], a)
-
-
-def test_decode_info_is_extract_of_execute():
-    spec = construct_frozen_set(6, 40, 0.5)
-    prog = compile_tree(build_tree(spec, 64))
-    _, _, llr = noisy_llrs(spec, 64, 1.0, seed=13)
-    out = execute(prog, llr)
-    assert np.array_equal(decode_info(prog, llr), extract_info(out, spec))
-
-
-def test_decode_info_requires_spec():
-    spec = construct_frozen_set(3, 5, 0.5)
-    prog = compile_tree(build_tree(spec, 256))
-    naked = parse_program(serialize_program(prog))  # text form carries no CodeSpec
-    with pytest.raises(ValueError):
-        decode_info(naked, np.ones(8))
 
 
 def test_output_is_always_a_codeword():

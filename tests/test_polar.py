@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -246,6 +247,24 @@ def test_systematic_out_buffer_equals_fresh_result():
                 work = np.full((9, 1 << n), 0xFF, dtype=np.uint8)
                 assert np.array_equal(encode_systematic(a, spec, out=work[:7]), want)
                 assert (work[7:] == 0xFF).all()
+
+
+def test_systematic_out_allocates_little():
+    # the butterfly's in-word stages shift and mask through a bounded chunk,
+    # not a temporary as large as the output
+    spec = construct_frozen_set(15, 29492, 0.5)
+    a = np.random.default_rng(33).integers(0, 2, size=(128, spec.k), dtype=np.uint8)
+    out = np.empty((128, spec.N), np.uint8)
+    encode_systematic(a, spec, out=out)  # caches the spec's gather index and keep mask
+    tracemalloc.start()
+    try:
+        encode_systematic(a, spec, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes / 4, peak
+    for i in (0, 37, 127):  # many chunks per batch, one chunk per frame
+        assert np.array_equal(out[i], encode_systematic(a[i], spec))
 
 
 def test_systematic_out_validation():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fastssc.quantize import QuantScheme, parse_quant, quantize_channel, sat_add
+from fastssc.quantize import QuantScheme, parse_quant, quantize_channel
 
 
 def test_parse_quant():
@@ -147,26 +147,3 @@ def test_quantize_channel_rejects_nan():
             quantize_channel(bad, q)
     # infinities are not NaN: they saturate
     assert np.array_equal(quantize_channel([np.inf, -np.inf], q), [15, -15])
-
-
-def test_sat_add():
-    assert sat_add(5, -5, 6) == 0
-    assert sat_add(31, 31, 6) == 31
-    assert sat_add(-31, -31, 6) == -31
-    assert sat_add(3, 4, 6) == 7
-
-
-def test_sat_add_identity_and_commutativity():
-    rng = np.random.default_rng(2)
-    a = rng.integers(-31, 32, size=500)
-    b = rng.integers(-31, 32, size=500)
-    assert np.array_equal(sat_add(a, 0, 6), a)
-    assert np.array_equal(sat_add(a, b, 6), sat_add(b, a, 6))
-    s = sat_add(a, b, 6)
-    assert s.dtype == np.int32
-    assert s.max() <= 31 and s.min() >= -31
-
-
-def test_sat_add_width_validation():
-    with pytest.raises(ValueError):
-        sat_add(1, 1, 1)
