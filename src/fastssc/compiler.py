@@ -57,24 +57,83 @@ class Opcode(IntEnum):
     R1 = 12
 
 
-OP_NAMES = {
-    Opcode.F: "F",
-    Opcode.G: "G",
-    Opcode.COMBINE: "COMBINE",
-    Opcode.COMBINE_0R: "COMBINE-0R",
-    Opcode.G_0R: "G-0R",
-    Opcode.P_R1: "P-R1",
-    Opcode.P_RSPC: "P-RSPC",
-    Opcode.P_01: "P-01",
-    Opcode.P_0SPC: "P-0SPC",
-    Opcode.ML: "ML",
-    Opcode.REP: "REP",
-    Opcode.REP_SPC: "REP-SPC",
-    Opcode.R1: "R1",
+# phases of an open tree node: nothing decoded, left child decoded, both decoded
+_START, _AFTER_LEFT, _AFTER_RIGHT = 0, 1, 2
+_PHASE_RULE = {
+    _START: "must be the node's only instruction",
+    _AFTER_LEFT: "needs a decoded left child",
+    _AFTER_RIGHT: "needs both children decoded",
 }
-OP_BY_NAME = {v: k for k, v in OP_NAMES.items()}
 
-_DESCEND = (Opcode.F, Opcode.G, Opcode.G_0R)
+
+@dataclass(frozen=True)
+class OpInfo:
+    """One opcode's facts, read by the walk, the cycle model and the engine.
+
+    side is the child side a descent opens (True = R), None for a closer;
+    phase is the phase the open node must be in.  zero_left marks the
+    rate-0-left form, parity a right child decided by Wagner SPC.  A closer
+    needs node stage >= min_stage (== when fixed_stage).  cycles(2^s, P) is
+    the modeled cost; phase_error overrides the walk's phase message.
+    """
+
+    name: str
+    side: object
+    phase: int
+    cycles: object
+    zero_left: bool = False
+    parity: bool = False
+    min_stage: int = 0
+    fixed_stage: bool = False
+    phase_error: str = None
+
+    def reads(self, size):
+        """Modeled soft reads: both halves for a descent, none for COMBINE(-0R)."""
+        if self.side is not None:
+            return 2 * size
+        return 0 if self.phase == _AFTER_RIGHT else size
+
+
+def _descent_cycles(size, p):
+    return max(1, size // p)
+
+
+def _half_cycles(size, p):
+    return max(1, size // (2 * p))
+
+
+def _parity_cycles(size, p):
+    m = size // 2  # the parity child size
+    if m > p:
+        return m // p + 4
+    # one hand-off cycle, then one more per depth tier m passes: 8, 64, 256
+    return 1 + _half_cycles(size, p) + (m > 8) + (m > 64) + (m > 256)
+
+
+# The instruction set, in Opcode order: the one definition of each opcode's
+# name, walk rules and modeled costs.
+OPS = {
+    Opcode.F: OpInfo("F", False, _START, _descent_cycles,
+                     phase_error="F is only valid before the left child"),
+    Opcode.G: OpInfo("G", True, _AFTER_LEFT, _descent_cycles),
+    Opcode.COMBINE: OpInfo("COMBINE", None, _AFTER_RIGHT, _half_cycles),
+    Opcode.COMBINE_0R: OpInfo("COMBINE-0R", None, _AFTER_RIGHT, _half_cycles, zero_left=True),
+    Opcode.G_0R: OpInfo("G-0R", True, _START, _descent_cycles, zero_left=True,
+                        phase_error="G-0R is only valid before any child"),
+    Opcode.P_R1: OpInfo("P-R1", None, _AFTER_LEFT, _half_cycles, min_stage=1),
+    Opcode.P_RSPC: OpInfo("P-RSPC", None, _AFTER_LEFT, _parity_cycles, parity=True, min_stage=2),
+    Opcode.P_01: OpInfo("P-01", None, _START, _half_cycles, zero_left=True, min_stage=1),
+    Opcode.P_0SPC: OpInfo("P-0SPC", None, _START, _parity_cycles, zero_left=True, parity=True,
+                          min_stage=2),
+    Opcode.ML: OpInfo("ML", None, _START, lambda size, p: 1, min_stage=2, fixed_stage=True),
+    Opcode.REP: OpInfo("REP", None, _START, lambda size, p: 1 if size <= 2 * p else size // p,
+                       min_stage=1),
+    Opcode.REP_SPC: OpInfo("REP-SPC", None, _START, lambda size, p: 1, parity=True, min_stage=3,
+                           fixed_stage=True),
+    Opcode.R1: OpInfo("R1", None, _START, _half_cycles),
+}
+OP_NAMES = {op: row.name for op, row in OPS.items()}
+OP_BY_NAME = {v: k for k, v in OP_NAMES.items()}
 
 
 @dataclass(frozen=True)
@@ -317,15 +376,13 @@ class Program:
         self.__dict__.update(state, _plans={})
 
 
-_START, _AFTER_LEFT, _AFTER_RIGHT = 0, 1, 2
-
-
 def walk_stages(ops_sides, n_bits, k, declared=None):
     """Validate the depth-first structure and return each instruction's stage.
 
     The walk tracks a stack of open tree nodes.  Descent instructions must
     match the parent's phase and push a child one stage down; completing
-    instructions must match the open node's stage, side, and phase.  When
+    instructions must match the open node's stage, side, and phase.  Each
+    opcode's side, phase and stage rules are its row of OPS.  When
     `declared` stages are supplied they are checked against the derived
     ones.  Raises ProgramFormatError with the failing program counter.
     """
@@ -341,63 +398,37 @@ def walk_stages(ops_sides, n_bits, k, declared=None):
     if k == 0:
         err("an all-frozen code compiles to an empty program", 0)
     stack = [[n_bits, False, _START, False]]  # stage, is_right, phase, zero_left
-    done = False
     for pc, (op, right) in enumerate(ops_sides):
-        if done:
-            err("instruction after the root completed", pc)
-        fr = stack[-1]
-        if op in _DESCEND:
-            if fr[0] < 1:
-                err("cannot descend below stage 0", pc)
-            want_right = op is not Opcode.F
-            if right != want_right:
-                err(f"{OP_NAMES[op]} must carry side {'R' if want_right else 'L'}", pc)
-            if op is Opcode.F:
-                if fr[2] != _START:
-                    err("F is only valid before the left child", pc)
-            elif op is Opcode.G:
-                if fr[2] != _AFTER_LEFT or fr[3]:
-                    err("G needs a decoded left child", pc)
-            else:
-                if fr[2] != _START:
-                    err("G-0R is only valid before any child", pc)
-                fr[2] = _AFTER_LEFT
-                fr[3] = True
-            st = fr[0] - 1
-            stages.append(st)
-            stack.append([st, want_right, _START, False])
-            continue
-        name = OP_NAMES[op]
-        if op in (Opcode.COMBINE, Opcode.COMBINE_0R):
-            if fr[2] != _AFTER_RIGHT:
-                err(f"{name} needs both children decoded", pc)
-            if fr[3] != (op is Opcode.COMBINE_0R):
-                err(f"{name} does not match the left-child form used", pc)
-        elif op in (Opcode.P_R1, Opcode.P_RSPC):
-            if fr[2] != _AFTER_LEFT or fr[3]:
-                err(f"{name} needs a decoded left child", pc)
-        else:
-            if fr[2] != _START:
-                err(f"{name} must be the node's only instruction", pc)
-        if op in (Opcode.P_01, Opcode.P_R1) and fr[0] < 1:
-            err(f"{name} needs stage >= 1", pc)
-        if op in (Opcode.P_0SPC, Opcode.P_RSPC) and fr[0] < 2:
-            err(f"{name} needs stage >= 2", pc)
-        if op is Opcode.REP and fr[0] < 1:
-            err("REP needs stage >= 1", pc)
-        if op is Opcode.ML and fr[0] != 2:
-            err("ML is defined for stage 2 only", pc)
-        if op is Opcode.REP_SPC and fr[0] != 3:
-            err("REP-SPC is defined for stage 3 only", pc)
-        if right != fr[1]:
-            err(f"{name} side flag does not match the open node", pc)
-        stages.append(fr[0])
-        stack.pop()
         if not stack:
-            done = True
-        else:
-            stack[-1][2] = _AFTER_RIGHT if fr[1] else _AFTER_LEFT
-    if not done:
+            err("instruction after the root completed", pc)
+        row, fr = OPS[op], stack[-1]
+        stage, is_right, phase, zero_left = fr
+        if row.side is not None:  # descent: open a child one stage down
+            if stage < 1:
+                err("cannot descend below stage 0", pc)
+            if right != row.side:
+                err(f"{row.name} must carry side {'R' if row.side else 'L'}", pc)
+        if phase != row.phase:
+            err(row.phase_error or f"{row.name} {_PHASE_RULE[row.phase]}", pc)
+        if row.side is not None:
+            if row.zero_left:
+                fr[2:] = _AFTER_LEFT, True
+            stages.append(stage - 1)
+            stack.append([stage - 1, right, _START, False])
+            continue
+        if phase == _AFTER_RIGHT and zero_left != row.zero_left:
+            err(f"{row.name} does not match the left-child form used", pc)
+        if stage < row.min_stage or row.fixed_stage and stage > row.min_stage:
+            if row.fixed_stage:
+                err(f"{row.name} is defined for stage {row.min_stage} only", pc)
+            err(f"{row.name} needs stage >= {row.min_stage}", pc)
+        if right != is_right:
+            err(f"{row.name} side flag does not match the open node", pc)
+        stages.append(stage)
+        stack.pop()
+        if stack:
+            stack[-1][2] = _AFTER_RIGHT if is_right else _AFTER_LEFT
+    if stack:
         raise ProgramFormatError("program ends with unfinished nodes", pc=len(ops_sides) - 1)
     if declared is not None:
         for pc, (have, want) in enumerate(zip(declared, stages)):
@@ -409,44 +440,18 @@ def walk_stages(ops_sides, n_bits, k, declared=None):
 def estimate_latency(program):
     """Total cycles to execute a program with its resource parameter P.
 
-    Per-instruction costs: a descent touching 2^(s+1) inputs takes
-    max(1, 2^s/P) cycles; a combine or merged single-output step over a
-    stage-s node takes max(1, 2^s/(2P)); REP is one cycle up to 2P values
-    and two passes beyond; ML and REP-SPC are single-cycle; the parity
-    mergers pay one cycle to hand the g output to the parity pipeline
-    plus a depth penalty keyed to the parity child size m = 2^(s-1):
-    +0 for m <= 8, +1 for m <= 64, +2 for m <= 256 (+3 out to m <= P),
-    and m/P + 4 total once m exceeds P.
+    Per-instruction costs, the cycles(2^s, P) of each opcode's OPS row: a
+    descent touching 2^(s+1) inputs takes max(1, 2^s/P) cycles; a combine
+    or merged single-output step over a stage-s node takes
+    max(1, 2^s/(2P)); REP is one cycle up to 2P values and two passes
+    beyond; ML and REP-SPC are single-cycle; the parity mergers pay one
+    cycle to hand the g output to the parity pipeline plus a depth penalty
+    keyed to the parity child size m = 2^(s-1): +0 for m <= 8, +1 for
+    m <= 64, +2 for m <= 256 (+3 out to m <= P), and m/P + 4 total once m
+    exceeds P.
     """
-    total = 0
     p = program.p
-    for ins in program.instructions:
-        total += _instr_cycles(ins.op, ins.stage, p)
-    return total
-
-
-def _instr_cycles(op, stage, p):
-    size = 1 << stage
-    if op in _DESCEND:
-        return max(1, size // p)
-    if op in (Opcode.COMBINE, Opcode.COMBINE_0R, Opcode.P_R1, Opcode.P_01, Opcode.R1):
-        return max(1, size // (2 * p))
-    if op is Opcode.REP:
-        return 1 if size <= 2 * p else 2 * (size // (2 * p))
-    if op in (Opcode.REP_SPC, Opcode.ML):
-        return 1
-    # P-RSPC / P-0SPC
-    m = size // 2
-    base = 1 + max(1, size // (2 * p))
-    if m > p:
-        return m // p + 4
-    if m <= 8:
-        return base
-    if m <= 64:
-        return base + 1
-    if m <= 256:
-        return base + 2
-    return base + 3
+    return sum(OPS[ins.op].cycles(1 << ins.stage, p) for ins in program.instructions)
 
 
 @dataclass(frozen=True)

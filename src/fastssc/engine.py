@@ -49,7 +49,7 @@ from functools import partial
 
 import numpy as np
 
-from .compiler import Opcode
+from .compiler import OPS, Opcode
 # The steps inline the kernels' formulas; the kernel names stay importable
 # here for tracers that wrap this module's kernel names.
 from .kernels import (  # noqa: F401
@@ -161,22 +161,21 @@ def _link(program, batch, sat):
     start = [0] * (n + 1)  # first leaf index of the open node at each stage
     steps = []
     for ins in program.instructions:
-        op, s = ins.op, ins.stage
+        op, s, row = ins.op, ins.stage, OPS[ins.op]
         size = 1 << s
-        if op is Opcode.F or op is Opcode.G or op is Opcode.G_0R:
+        if row.side is not None:
             # descent: stage s child values from the open stage s+1 node
             parent = start[s + 1]
+            start[s] = parent + size if row.side else parent
             a, b = alpha[s + 1][:, :size], alpha[s + 1][:, size:]
             if op is Opcode.F:
-                start[s] = parent
                 block, t = max(1, _F_BLOCK_BYTES // (size * dtype.itemsize)), tmp(size)
                 fs = [partial(_f, a[i : i + block], b[i : i + block], alpha[s][i : i + block],
                               t[: min(block, batch - i)]) for i in range(0, batch, block)]
                 # narrow: _f itself; wide: one step over blocks that share the first rows of t
                 steps.append(fs[0] if len(fs) == 1 else partial(_seq, *fs))
             else:
-                start[s] = parent + size
-                left = beta[:, parent : parent + size] if op is Opcode.G else None
+                left = None if row.zero_left else beta[:, parent : parent + size]
                 steps.append(partial(_g, a, b, left, alpha[s], minus2, bounds))
             continue
         lo, mid, hi = start[s], start[s] + size // 2, start[s] + size
@@ -196,11 +195,11 @@ def _link(program, batch, sat):
             # right child, close the node; REP-SPC first decides its left
             # half, a REP of F
             a, b, values = alpha[s][:, : size // 2], alpha[s][:, size // 2 :], alpha[s - 1]
-            if op in (Opcode.P_RSPC, Opcode.P_0SPC, Opcode.REP_SPC):
+            if row.parity:
                 decide = partial(_spc, values, right, tmp(size // 2), *rows)
             else:
                 decide = partial(np.less, values, 0, out=right)
-            merged_left = None if op in (Opcode.P_01, Opcode.P_0SPC) else left
+            merged_left = None if row.zero_left else left
             step = partial(_merged, a, b, merged_left, values, minus2, bounds, decide, left, right)
             if op is Opcode.REP_SPC:
                 step = partial(_seq, partial(_f, a, b, tmp(4), values),
@@ -271,22 +270,12 @@ def _ml4(values, dst, scores, signs, pick):
 
 
 def _check_access(ins, p, pc):
-    """Modeled memory discipline: at most 2P soft reads per cycle."""
-    op, s = ins.op, ins.stage
-    size = 1 << s
-    if op is Opcode.F or op is Opcode.G or op is Opcode.G_0R:
-        reads, steps = 2 * size, max(1, size // p)
-    elif op in (Opcode.COMBINE, Opcode.COMBINE_0R):
-        return
-    elif op is Opcode.REP:
-        reads = size
-        steps = 1 if size <= 2 * p else size // (2 * p)
-    elif op is Opcode.REP_SPC or op is Opcode.ML:
-        reads, steps = size, 1
-    else:  # P-* mergers and R1 read the node's alpha during the g phase
-        reads, steps = size, max(1, size // (2 * p))
-    if reads > steps * 2 * p:
+    """Modeled memory discipline: at most 2P soft reads per cycle, with the
+    reads and cycles of the instruction's OPS row."""
+    row, size = OPS[ins.op], 1 << ins.stage
+    reads, cycles = row.reads(size), row.cycles(size, p)
+    if reads > 2 * p * cycles:
         raise EngineError(
-            f"{ins} reads {reads} values in {steps} cycles, over the 2P={2 * p} limit",
+            f"{ins} reads {reads} values in {cycles} cycles, over the 2P={2 * p} limit",
             pc=pc,
         )

@@ -261,6 +261,8 @@ def bench(program, frames, quant=None, ebno_db=4.0, seed=0, batch_size=128):
     the modeled cycle count per frame.  Frame generation is excluded from
     the timed region.  frames == 0 yields an empty report.
     """
+    if frames < 0 or batch_size < 1:
+        raise ValueError("frames must be >= 0 and batch_size >= 1")
     spec = program.spec
     cycles = estimate_latency(program)
     report = {
@@ -269,7 +271,7 @@ def bench(program, frames, quant=None, ebno_db=4.0, seed=0, batch_size=128):
         "info_bps": 0.0,
         "cycles_per_frame": cycles,
     }
-    if frames <= 0:
+    if frames == 0:
         return report
     rate = spec.k / spec.N
     sigma = float(np.sqrt(ebno_to_sigma2(ebno_db, rate)))

@@ -318,3 +318,14 @@ def test_bench_cli(tmp_path, capsys):
                          "--mask", str(mask), "--frames", "32")
     assert rc == 0
     assert "frames: 32" in out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--frames", "-5"), ("--batch-size", "0"), ("--batch-size", "-3"),
+])
+def test_bench_cli_rejects_bad_sizes(capsys, flag, value):
+    rc, out, err = run_cli(capsys, "bench", "--n-bits", "5", "--k", "16",
+                           "--design-sigma2", "0.5", "--frames", "10", flag, value)
+    assert rc == 2
+    assert out == ""
+    assert err == "fastssc: error: frames must be >= 0 and batch_size >= 1\n"

@@ -1,9 +1,14 @@
 import itertools
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fastssc.compiler import (
+    OP_BY_NAME,
+    OP_NAMES,
+    Instruction,
     NodeRuleSet,
     Opcode,
     Program,
@@ -17,7 +22,9 @@ from fastssc.compiler import (
     rules_from_names,
     serialize_program,
     serialize_program_binary,
+    walk_stages,
 )
+from fastssc.engine import EngineError, _check_access
 from fastssc.polar import CodeSpec, construct_frozen_set
 
 REV8 = np.array([0, 4, 2, 6, 1, 5, 3, 7])
@@ -272,3 +279,185 @@ def test_instruction_stage_walk_matches_tree_descent():
                 assert ins.stage == stack[-1]
                 stack.pop()
         assert stack == []
+
+
+# One structurally invalid program per walk message: (N, k, instruction
+# lines, message, failing pc).  pc None marks a whole-program error.
+STRUCTURE_ERRORS = {
+    "after-root": (8, 5, ["R1 L stage=3", "R1 L stage=3"],
+                   "instruction after the root completed", 1),
+    "cannot-descend": (2, 1, ["F L stage=0", "F L stage=0"],
+                       "cannot descend below stage 0", 1),
+    "F-side": (8, 5, ["F R stage=2"], "F must carry side L", 0),
+    "G-side": (8, 5, ["G L stage=2"], "G must carry side R", 0),
+    "G-0R-side": (8, 5, ["G-0R L stage=2"], "G-0R must carry side R", 0),
+    "F-phase": (8, 5, ["F L stage=2", "R1 L stage=2", "F L stage=2"],
+                "F is only valid before the left child", 2),
+    "G-phase": (8, 5, ["G R stage=2"], "G needs a decoded left child", 0),
+    "G-after-G-0R": (8, 5, ["G-0R R stage=2", "R1 R stage=2", "G R stage=2"],
+                     "G needs a decoded left child", 2),
+    "G-0R-phase": (8, 5, ["F L stage=2", "R1 L stage=2", "G-0R R stage=2"],
+                   "G-0R is only valid before any child", 2),
+    "only-instruction": (8, 5, ["F L stage=2", "R1 L stage=2", "REP R stage=3"],
+                         "REP must be the node's only instruction", 2),
+    "decoded-left-child": (8, 5, ["P-R1 L stage=3"], "P-R1 needs a decoded left child", 0),
+    "both-children": (8, 5, ["F L stage=2", "R1 L stage=2", "COMBINE L stage=3"],
+                      "COMBINE needs both children decoded", 2),
+    "left-child-form": (8, 5, ["G-0R R stage=2", "R1 R stage=2", "COMBINE L stage=3"],
+                        "COMBINE does not match the left-child form used", 2),
+    "stage-ge-1": (2, 1, ["F L stage=0", "P-01 L stage=0"], "P-01 needs stage >= 1", 1),
+    "stage-ge-2": (2, 1, ["P-0SPC L stage=1"], "P-0SPC needs stage >= 2", 0),
+    "ml-stage": (8, 5, ["ML L stage=3"], "ML is defined for stage 2 only", 0),
+    "rep-spc-stage": (4, 2, ["REP-SPC L stage=2"], "REP-SPC is defined for stage 3 only", 0),
+    "side-flag": (4, 3, ["R1 R stage=2"], "R1 side flag does not match the open node", 0),
+    "unfinished": (8, 5, ["F L stage=2", "F L stage=1"], "program ends with unfinished nodes", 1),
+    "empty-with-info": (8, 5, [], "empty program for a code with information bits", None),
+    "all-frozen": (8, 0, ["R1 L stage=3"], "an all-frozen code compiles to an empty program", 0),
+    "declared-stage": (8, 5, ["F L stage=1", "REP L stage=2", "P-R1 L stage=3"],
+                       "stage 1 does not match the walk (expected 2)", 0),
+}
+
+
+def _raw_binary(n_bits, k, p, ops_sides):
+    """The binary form of an instruction list, with no structural check."""
+    acc = 0
+    for i, (op, right) in enumerate(ops_sides):
+        acc |= (int(op) | int(right) << 4) << (5 * i)
+    head = b"FSSC" + bytes([1, n_bits]) + struct.pack("<III", k, p, len(ops_sides))
+    return head + acc.to_bytes((5 * len(ops_sides) + 7) // 8, "little")
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURE_ERRORS))
+def test_structure_errors_keep_message_and_location(case):
+    N, k, lines, msg, pc = STRUCTURE_ERRORS[case]
+    n_bits = N.bit_length() - 1
+    parsed = [line.split() for line in lines]
+    ops_sides = [(OP_BY_NAME[name], side == "R") for name, side, _ in parsed]
+    declared = [int(stage.split("=")[1]) for _, _, stage in parsed]
+
+    with pytest.raises(ProgramFormatError) as e:
+        walk_stages(ops_sides, n_bits, k, declared=declared)
+    assert e.value.pc == pc and e.value.line is None
+    assert str(e.value) == (msg if pc is None else f"instruction {pc}: {msg}")
+
+    # the header is line 1, so instruction pc sits on line pc + 2
+    with pytest.raises(ProgramFormatError) as e:
+        parse_program("\n".join([f"N={N} k={k} P=256"] + lines) + "\n")
+    line = None if pc is None else pc + 2
+    assert e.value.line == line and e.value.pc is None
+    assert str(e.value) == (msg if line is None else f"line {line}: {msg}")
+
+    if case == "declared-stage":  # the binary form stores no stages
+        return
+    with pytest.raises(ProgramFormatError) as e:
+        parse_program_binary(_raw_binary(n_bits, k, 256, ops_sides))
+    assert e.value.pc == pc
+    assert str(e.value) == (msg if pc is None else f"instruction {pc}: {msg}")
+
+
+def test_opcode_numbers_and_names_are_fixed():
+    names = {
+        0: "F", 1: "G", 2: "COMBINE", 3: "COMBINE-0R", 4: "G-0R", 5: "P-R1",
+        6: "P-RSPC", 7: "P-01", 8: "P-0SPC", 9: "ML", 10: "REP", 11: "REP-SPC", 12: "R1",
+    }
+    assert [(int(op), name) for op, name in OP_NAMES.items()] == list(names.items())
+    assert [(name, int(op)) for name, op in OP_BY_NAME.items()] == [
+        (name, value) for value, name in names.items()
+    ]
+    assert [int(op) for op in Opcode] == list(names)
+
+
+# every opcode but R1, each in a position the walk accepts
+EVERY_OP_TEXT = """N=32 k=16 P=4
+F L stage=4
+F L stage=3
+REP-SPC L stage=3
+G R stage=3
+F L stage=2
+ML L stage=2
+P-RSPC R stage=3
+COMBINE L stage=4
+G R stage=4
+F L stage=3
+G-0R R stage=2
+P-0SPC R stage=2
+COMBINE-0R L stage=3
+G R stage=3
+F L stage=2
+F L stage=1
+P-01 L stage=1
+G R stage=1
+REP R stage=1
+COMBINE L stage=2
+P-R1 R stage=3
+COMBINE R stage=4
+COMBINE L stage=5
+"""
+EVERY_OP_BINARY = bytes.fromhex(
+    "46 53 53 43 01 05 10 00 00 00 04 00 00 00 17 00 00 00"
+    " 00 ac 08 92 15 11 50 3c 22 00 27 6a 51 a5 00"
+)
+R1_TEXT = "N=2 k=2 P=1\nR1 L stage=1\n"
+R1_BINARY = bytes.fromhex("46 53 53 43 01 01 02 00 00 00 01 00 00 00 01 00 00 00 0c")
+
+
+@pytest.mark.parametrize("text, blob", [(EVERY_OP_TEXT, EVERY_OP_BINARY), (R1_TEXT, R1_BINARY)])
+def test_program_formats_are_fixed(text, blob):
+    prog = parse_program(text)
+    assert serialize_program(prog) == text
+    assert serialize_program_binary(prog) == blob
+    back = parse_program_binary(blob)
+    assert back.instructions == prog.instructions
+    assert serialize_program(back) == text
+    used = {ins.op for ins in prog.instructions}
+    assert used == ({Opcode.R1} if text == R1_TEXT else set(Opcode) - {Opcode.R1})
+
+
+# the stages at which each instruction can appear in a valid program
+LEGAL_STAGES = {
+    Opcode.F: range(0, 16), Opcode.G: range(0, 16), Opcode.G_0R: range(0, 16),
+    Opcode.COMBINE: range(1, 16), Opcode.COMBINE_0R: range(1, 16), Opcode.R1: range(0, 16),
+    Opcode.P_R1: range(1, 16), Opcode.P_01: range(1, 16), Opcode.REP: range(1, 16),
+    Opcode.P_RSPC: range(2, 16), Opcode.P_0SPC: range(2, 16),
+    Opcode.ML: (2,), Opcode.REP_SPC: (3,),
+}
+
+
+def _docstring_cycles(op, s, p):
+    """estimate_latency's per-instruction costs, as its docstring states them."""
+    size = 2**s
+    if op in (Opcode.F, Opcode.G, Opcode.G_0R):
+        return max(1, size // p)
+    if op in (Opcode.COMBINE, Opcode.COMBINE_0R, Opcode.P_R1, Opcode.P_01, Opcode.R1):
+        return max(1, size // (2 * p))
+    if op is Opcode.REP:
+        return 1 if size <= 2 * p else 2 * (size // (2 * p))
+    if op in (Opcode.ML, Opcode.REP_SPC):
+        return 1
+    m = size // 2  # P-RSPC / P-0SPC: the parity child size
+    if m > p:
+        return m // p + 4
+    penalty = 0 if m <= 8 else 1 if m <= 64 else 2 if m <= 256 else 3
+    return 1 + max(1, size // (2 * p)) + penalty
+
+
+@pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.name)
+def test_cycle_model_per_opcode(op):
+    for s in LEGAL_STAGES[op]:
+        for p in (2**i for i in range(11)):
+            one = SimpleNamespace(p=p, instructions=(Instruction(op, False, s),))
+            assert estimate_latency(one) == _docstring_cycles(op, s, p), (s, p)
+
+
+def test_debug_bound_fires_only_for_ml_and_rep_spc():
+    """2P reads per modeled cycle: only ML (4 reads) at P=1 and REP-SPC (8) at P<=2 exceed it."""
+    fired = set()
+    for op, stages in LEGAL_STAGES.items():
+        for s in stages:
+            for p in (2**i for i in range(12)):
+                try:
+                    _check_access(Instruction(op, False, s), p, 7)
+                except EngineError as e:
+                    assert e.pc == 7
+                    fired.add((op, s, p))
+    assert fired == {(Opcode.ML, 2, 1), (Opcode.REP_SPC, 3, 1), (Opcode.REP_SPC, 3, 2)}

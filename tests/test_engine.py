@@ -205,6 +205,19 @@ def test_debug_mode_reports_offending_pc():
     assert execute(prog, llr).shape == (2, 128)
 
 
+def test_debug_mode_bounds_ml_reads():
+    # the one-instruction ML code reads 4 values in one cycle: over 2P at P=1 only
+    spec = CodeSpec(frozen_mask=np.array([True, True, False, False]))
+    llr = np.array([1.0, -2.0, 0.5, 3.0])
+    with pytest.raises(EngineError) as e:
+        execute(compile_tree(build_tree(spec, 1)), llr, debug=True)
+    assert e.value.pc == 0
+    assert str(e.value) == (
+        "instruction 0: ML L stage=2 reads 4 values in 1 cycles, over the 2P=2 limit"
+    )
+    assert execute(compile_tree(build_tree(spec, 2)), llr, debug=True).shape == (4,)
+
+
 def test_rejects_non_finite_llrs():
     spec = construct_frozen_set(5, 16, 0.5)
     prog = compile_tree(build_tree(spec, 16))

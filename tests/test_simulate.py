@@ -300,6 +300,19 @@ def test_bench_reports():
     assert report["cycles_per_frame"] == estimate_latency(prog)
 
 
+def test_bench_rejects_bad_sizes():
+    spec = construct_frozen_set(5, 16, 0.5)
+    prog = compile_tree(build_tree(spec, 32))
+    with pytest.raises(ValueError, match="frames must be >= 0 and batch_size >= 1"):
+        bench(prog, -5)
+    for size in (0, -3):
+        with pytest.raises(ValueError, match="frames must be >= 0 and batch_size >= 1"):
+            bench(prog, 10, batch_size=size)
+        with pytest.raises(ValueError, match="frames must be >= 0 and batch_size >= 1"):
+            bench(prog, 0, batch_size=size)
+    assert bench(prog, 10, batch_size=3)["frames"] == 10
+
+
 def test_config_validation():
     spec = construct_frozen_set(5, 16, 0.5)
     with pytest.raises(ValueError):
