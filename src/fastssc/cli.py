@@ -6,6 +6,7 @@ Exit codes: 0 on success, 1 for usage problems, 2 for bad input data
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -118,6 +119,18 @@ def _load_program(path):
     return parse_program(data.decode("utf-8"))
 
 
+def _program_with_code(args):
+    """The --program file, carrying the code of --mask or --n-bits when one is given."""
+    program = _load_program(args.program)
+    if args.mask is None and args.n_bits is None:
+        return program
+    spec = _spec_from_args(args)
+    if (spec.N, spec.k) != (program.N, program.k):
+        raise ValueError(f"mask ({spec.N},{spec.k}) does not match "
+                         f"program ({program.N},{program.k})")
+    return replace(program, spec=spec)
+
+
 def _read_bits(path, width):
     """Read frames of contiguous 0/1 characters, one frame per line."""
     with open(path) as fh:
@@ -219,7 +232,6 @@ def _cmd_encode(args):
 
 
 def _cmd_decode(args):
-    spec = None
     if args.algo == "sc":
         spec = _spec_from_args(args)
         llr = _read_llrs(args.infile, spec.N, args.quant)
@@ -227,15 +239,8 @@ def _cmd_decode(args):
     else:
         if args.program is None:
             raise _UsageError("--algo fast-ssc requires --program")
-        program = _load_program(args.program)
-        if args.mask is not None or args.n_bits is not None:
-            spec = _spec_from_args(args)
-            if spec.N != program.N or spec.k != program.k:
-                raise ValueError(
-                    f"mask ({spec.N},{spec.k}) does not match "
-                    f"program ({program.N},{program.k})"
-                )
-            program.spec = spec
+        program = _program_with_code(args)
+        spec = program.spec
         llr = _read_llrs(args.infile, program.N, args.quant)
         beta = execute(program, llr, args.quant)
     if args.info:
@@ -273,9 +278,7 @@ def _cmd_simulate(args):
 
 def _cmd_bench(args):
     if args.program is not None:
-        program = _load_program(args.program)
-        if args.mask is not None or args.n_bits is not None:
-            program.spec = _spec_from_args(args)
+        program = _program_with_code(args)
         if program.spec is None:
             raise _UsageError("bench needs the code mask to generate frames")
     else:

@@ -118,8 +118,9 @@ def execute(program, channel_llrs, quant=None, debug=False):
     try:
         out = _run(plan, x)
     finally:
-        plans.clear()
-        plans[key] = plan
+        plans[key] = plan  # the two most recent shapes stay: a run and its short last batch
+        for old in list(plans)[:-2]:
+            plans.pop(old, None)
     return out.reshape(lead + (program.N,)) if lead else out[0]
 
 

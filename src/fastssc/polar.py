@@ -141,8 +141,10 @@ class CodeSpec:
         if self.k < self.N and not m[0]:
             # index 0 is the worst synthetic channel in either ordering
             raise ValueError("a code with frozen bits must freeze index 0")
-        if self.design_sigma2 is not None and not self.design_sigma2 > 0:
-            raise ValueError(f"design_sigma2 must be positive, got {self.design_sigma2}")
+        if self.design_sigma2 is not None and not 0 < self.design_sigma2 < np.inf:
+            raise ValueError(
+                f"design_sigma2 must be finite and positive, got {self.design_sigma2}"
+            )
 
     @property
     def N(self):
@@ -282,8 +284,8 @@ def construct_frozen_set(n_bits, k, design_sigma2):
     N = 1 << n_bits
     if not 0 < k <= N:
         raise ValueError(f"k must be in (0, {N}], got {k}")
-    if not design_sigma2 > 0:
-        raise ValueError(f"design_sigma2 must be positive, got {design_sigma2}")
+    if not 0 < design_sigma2 < np.inf:
+        raise ValueError(f"design_sigma2 must be finite and positive, got {design_sigma2}")
     means = _ga_means(n_bits, design_sigma2)
     rev = bit_reverse_permutation(n_bits)
     order = np.lexsort((rev, means))

@@ -67,6 +67,11 @@ def parse_quant(text):
     return QuantScheme(w, wc, f)
 
 
+# quantize_channel adds its +-0.5 in chunks of this many values, through one
+# 256 KB temporary
+_CHUNK = 1 << 15
+
+
 def quantize_channel(llr, scheme, out=None):
     """Map real channel LLRs to saturated fixed-point integers.
 
@@ -97,9 +102,13 @@ def quantize_channel(llr, scheme, out=None):
     # clip first, then round half away from zero (np.round would round ties
     # to even); the int cast truncates.  Same values as rounding
     # sign(s)*floor(|s| + 0.5) first and clipping after.
-    np.clip(s, -lim, lim, out=s)
-    s += np.copysign(0.5, s)
-    q = s.astype(np.int32)
+    flat = s.reshape(-1)  # a view unless out is not contiguous
+    np.clip(flat, -lim, lim, out=flat)
+    half = np.empty(min(flat.size, _CHUNK))
+    for i in range(0, flat.size, _CHUNK):
+        c = flat[i : i + _CHUNK]
+        c += np.copysign(0.5, c, out=half[: c.size])
+    q = flat.astype(np.int32).reshape(s.shape)
     if np.isscalar(llr) or np.ndim(llr) == 0:
         return int(q)
     return q

@@ -11,6 +11,8 @@ excludes the wall-clock throughput column.
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import starmap
 
 import numpy as np
 
@@ -24,7 +26,13 @@ def ebno_to_sigma2(ebno_db, rate):
     """Noise variance for a given Eb/N0 in dB at code rate k/N."""
     if not 0 < rate <= 1:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    return 1.0 / (2.0 * rate * 10.0 ** (ebno_db / 10.0))
+    try:
+        sigma2 = 1.0 / (2.0 * rate * 10.0 ** (ebno_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        sigma2 = 0.0
+    if not 0 < sigma2 < np.inf:
+        raise ValueError(f"Eb/N0 {ebno_db} dB gives no finite, positive noise variance")
+    return sigma2
 
 
 def awgn_bpsk_llr(x, sigma, rng, out=None):
@@ -72,8 +80,8 @@ class SimConfig:
             raise ValueError("ebno_db list must not be empty")
         if self.min_frame_errors < 1:
             raise ValueError("min_frame_errors must be >= 1")
-        if self.max_frames < 1 or self.batch_size < 1:
-            raise ValueError("max_frames and batch_size must be >= 1")
+        if min(self.max_frames, self.batch_size, self.workers) < 1:
+            raise ValueError("max_frames, batch_size and workers must be >= 1")
         if self.spec.k == 0:
             raise ValueError("cannot simulate a code with no information bits")
 
@@ -102,24 +110,19 @@ def run_simulation(config):
     program = compile_tree(build_tree(spec, config.p, config.rules))
     cycles = estimate_latency(program)
     rate = spec.k / spec.N
-    rows = min(config.batch_size, config.max_frames)
+    bound = (program, config.quant, min(config.batch_size, config.max_frames))
     results = []
-    pool = work = None
+    pool = None
     try:
         if config.workers > 1:
-            pool = ProcessPoolExecutor(
-                max_workers=config.workers,
-                initializer=_init_worker,
-                initargs=(program, config.quant, rows),
-            )
+            pool = ProcessPoolExecutor(config.workers, initializer=_init_worker, initargs=bound)
+            decode = partial(_in_order, pool, 2 * config.workers)
         else:
-            work = _workspace(rows, spec.N)
+            decode = partial(starmap, _bind_batch(*bound))
         for point_idx, ebno in enumerate(config.ebno_db):
             sigma2 = ebno_to_sigma2(ebno, rate)
             t0 = time.perf_counter()
-            frames, bit_err, frame_err = _run_point(
-                program, config, point_idx, float(np.sqrt(sigma2)), pool, work
-            )
+            frames, bit_err, frame_err = _run_point(config, point_idx, sigma2, decode)
             elapsed = time.perf_counter() - t0
             results.append(
                 SimResult(
@@ -141,65 +144,58 @@ def run_simulation(config):
     return results
 
 
-def _run_point(program, config, point_idx, sigma, pool, work):
+def _run_point(config, point_idx, sigma2, decode):
+    """Sum one point's batches in index order; the job stream ends at max_frames."""
+    batch, max_frames = config.batch_size, config.max_frames
+    sigma = float(np.sqrt(sigma2))
+    jobs = (
+        ((config.seed, point_idx, start // batch), sigma, min(batch, max_frames - start))
+        for start in range(0, max_frames, batch)
+    )
     frames = bit_err = frame_err = 0
-    seed, batch, max_frames = config.seed, config.batch_size, config.max_frames
-    if pool is None:
-        b = 0
-        while frame_err < config.min_frame_errors and frames < max_frames:
-            size = min(batch, max_frames - frames)
-            be, fe = _sim_batch(program, config.quant, (seed, point_idx, b), sigma, size, work)
-            frames += size
-            bit_err += be
-            frame_err += fe
-            b += 1
-        return frames, bit_err, frame_err
-    pending = {}
-    next_submit = 0
-    next_consume = 0
-    depth = 2 * config.workers
-    while True:
-        while len(pending) < depth and next_submit * batch < max_frames:
-            size = min(batch, max_frames - next_submit * batch)
-            pending[next_submit] = pool.submit(
-                _pool_task, (seed, point_idx, next_submit), sigma, size
-            )
-            next_submit += 1
-        if next_consume not in pending:
-            break
-        be, fe = pending.pop(next_consume).result()
-        size = min(batch, max_frames - next_consume * batch)
+    for size, be, fe in decode(jobs):
         frames += size
         bit_err += be
         frame_err += fe
-        next_consume += 1
-        if frame_err >= config.min_frame_errors or frames >= max_frames:
-            break
-    for fut in pending.values():
-        fut.cancel()
+        if frame_err >= config.min_frame_errors:
+            break  # closes a pooled decode, which cancels what is in flight
     return frames, bit_err, frame_err
+
+
+def _in_order(pool, depth, jobs):
+    """Pool results of jobs in job order, with up to depth jobs in flight."""
+    futures = []
+    try:
+        for job in jobs:
+            futures.append(pool.submit(_pool_task, *job))
+            if len(futures) == depth:
+                yield futures.pop(0).result()
+        while futures:
+            yield futures.pop(0).result()
+    finally:
+        for fut in futures:
+            fut.cancel()
 
 
 _WORK = {}
 
 
 def _init_worker(program, quant, rows):
-    _WORK["program"] = program
-    _WORK["quant"] = quant
-    _WORK["work"] = _workspace(rows, program.N)
+    _WORK["batch"] = _bind_batch(program, quant, rows)
 
 
-def _pool_task(entropy, sigma, size):
-    return _sim_batch(_WORK["program"], _WORK["quant"], entropy, sigma, size, _WORK["work"])
+def _pool_task(*job):
+    return _WORK["batch"](*job)
 
 
-def _workspace(rows, n):
-    """Buffers one run reuses for every batch: (rows, n) codewords and LLRs."""
-    return np.empty((rows, n), np.uint8), np.empty((rows, n))
+def _bind_batch(program, quant, rows):
+    """_sim_batch bound to a program, a scheme and one reused (rows, N) workspace."""
+    work = np.empty((rows, program.N), np.uint8), np.empty((rows, program.N))
+    return partial(_sim_batch, program, quant, work)
 
 
-def _sim_batch(program, quant, entropy, sigma, size, work):
-    """Decode one batch of random frames; returns (bit errors, frame errors).
+def _sim_batch(program, quant, work, entropy, sigma, size):
+    """Decode one batch of random frames; returns (size, bit errors, frame errors).
 
     The codewords and LLRs are formed in the first `size` rows of the
     workspace; the drawn bits and the decisions are fresh arrays.
@@ -214,7 +210,7 @@ def _sim_batch(program, quant, entropy, sigma, size, work):
         llr = quantize_channel(llr, quant, out=llr)
     beta = execute(program, llr, quant)
     wrong = beta[:, spec.info_positions] != a
-    return int(wrong.sum()), int(np.count_nonzero(wrong.any(axis=1)))
+    return size, int(wrong.sum()), int(np.count_nonzero(wrong.any(axis=1)))
 
 
 _CSV_COLUMNS = (

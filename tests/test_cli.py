@@ -318,6 +318,12 @@ def test_bench_cli(tmp_path, capsys):
                          "--mask", str(mask), "--frames", "32")
     assert rc == 0
     assert "frames: 32" in out
+    # a code of another (N, k) cannot generate frames for this program
+    rc, out, err = run_cli(capsys, "bench", "--program", str(prog_path), "--n-bits", "6",
+                           "--k", "20", "--design-sigma2", "0.5", "--frames", "16")
+    assert rc == 2
+    assert out == ""
+    assert err == "fastssc: error: mask (64,20) does not match program (64,32)\n"
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -329,3 +335,21 @@ def test_bench_cli_rejects_bad_sizes(capsys, flag, value):
     assert rc == 2
     assert out == ""
     assert err == "fastssc: error: frames must be >= 0 and batch_size >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--n-bits", "5", "--k", "16", "--design-sigma2", "0.5", "--ebno=-inf"),
+    ("simulate", "--n-bits", "5", "--k", "16", "--design-sigma2", "0.5", "--ebno", "4000"),
+    ("simulate", "--n-bits", "5", "--k", "16", "--design-sigma2", "0.5", "--ebno", "2",
+     "--workers", "0"),
+    ("simulate", "--n-bits", "5", "--k", "16", "--design-sigma2", "0.5", "--ebno", "2",
+     "--workers", "-1"),
+    ("construct", "--n-bits", "5", "--k", "16", "--design-ebno", "4000"),
+    ("construct", "--n-bits", "5", "--k", "16", "--design-sigma2", "inf"),
+])
+def test_bad_noise_and_worker_values_exit_2(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("fastssc: error: ")
+    assert len(err.splitlines()) == 1

@@ -140,8 +140,9 @@ def test_code_spec_validation():
     mask[3] = True  # frozen set that skips index 0
     with pytest.raises(ValueError):
         CodeSpec(frozen_mask=mask)
-    with pytest.raises(ValueError):
-        CodeSpec(frozen_mask=np.zeros(8, dtype=bool), design_sigma2=-1.0)
+    for sigma2 in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            CodeSpec(frozen_mask=np.zeros(8, dtype=bool), design_sigma2=sigma2)
 
 
 def test_construct_frozen_set_validation():

@@ -147,3 +147,37 @@ def test_quantize_channel_rejects_nan():
             quantize_channel(bad, q)
     # infinities are not NaN: they saturate
     assert np.array_equal(quantize_channel([np.inf, -np.inf], q), [15, -15])
+
+
+def test_quantize_channel_pinned_values_and_peak():
+    """Ties, signed zeros, infinities, the range ends and the float edge, over several chunks."""
+    import tracemalloc
+
+    edge = np.nextafter(0.5, 0)  # edge + 0.5 rounds to 1.0, so it quantizes to 1 at F = 0
+    for scheme in (QuantScheme(6, 4, 0), QuantScheme(31, 31, 0), QuantScheme(7, 5, 1)):
+        lim = scheme.channel_limit
+        x = np.array([0.5, -0.5, 2.5, -2.5, 0.0, -0.0, np.inf, -np.inf, lim, -lim, edge, -edge])
+        want = np.array([1, -1, 3, -3, 0, 0, lim, -lim, lim, -lim, 1, -1])
+        x /= scheme.scale  # exact: the scale is a power of two
+        for v, w in zip(x, want):
+            assert quantize_channel(v, scheme) == w
+        # 100_008 values span four rounding chunks, the last one partial
+        big = np.resize(x, (8, 12_501))
+        got = quantize_channel(big, scheme)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, np.resize(want, big.shape))
+        strided = np.empty((8, 2 * 12_501))[:, ::2]
+        assert np.array_equal(quantize_channel(big, scheme, out=strided), got)
+        assert np.array_equal(quantize_channel(big, scheme, out=big), got)
+
+    # in place at (128, 2048): the 1 MB int32 result and one 256 KB chunk, not
+    # a 2 MB float64 copy of the batch
+    q = QuantScheme(7, 5, 1)
+    llr = np.random.default_rng(3).normal(scale=4.0, size=(128, 2048))
+    tracemalloc.start()
+    try:
+        quantize_channel(llr, q, out=llr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from fastssc import simulate
+from fastssc import engine, simulate
 from fastssc.compiler import build_tree, compile_tree, estimate_latency
 from fastssc.engine import execute
 from fastssc.polar import CodeSpec, construct_frozen_set, encode_systematic
@@ -48,6 +48,10 @@ def test_ebno_to_sigma2():
         ebno_to_sigma2(1.0, 0.0)
     with pytest.raises(ValueError):
         ebno_to_sigma2(1.0, 1.2)
+    # the variance must come out finite and positive
+    for ebno in (-np.inf, np.inf, np.nan, 4000.0):
+        with pytest.raises(ValueError, match="noise variance"):
+            ebno_to_sigma2(ebno, 0.5)
 
 
 def test_awgn_llr_statistics():
@@ -226,11 +230,35 @@ def test_workers_match_serial():
     # the second run ends on a partial batch: 300 = 4 * 64 + 44
     partial = dict(ebno_db=(1.5, 2.5), quant=QuantScheme(7, 5, 1), max_frames=300,
                    min_frame_errors=10_000)
-    for cfg in ({}, partial):
+    # three points stop on frame errors after 1, 3 and 16 batches, each with
+    # later batches still in flight in the pool
+    staggered = dict(ebno_db=(1.0, 2.0, 3.0), min_frame_errors=20)
+    # max_frames below batch_size: one short batch per point
+    short = dict(ebno_db=(1.5, 2.5), max_frames=40, min_frame_errors=10_000)
+    frames = []
+    for cfg in ({}, partial, staggered, short):
         serial = run_simulation(small_config(workers=1, **cfg))
         pooled = run_simulation(small_config(workers=2, **cfg))
         assert counts(pooled) == counts(serial)
-    assert [c[0] for c in counts(serial)] == [300, 300]
+        frames.append([c[0] for c in counts(serial)])
+    assert frames[1:] == [[300, 300], [64, 192, 1024], [40, 40]]
+
+
+def test_each_batch_shape_links_once(monkeypatch):
+    # 200 = 128 + 72: every point runs a full batch and a short one, and the
+    # engine keeps both plans across the three points
+    linked = []
+    link = engine._link
+
+    def spy(program, batch, sat):
+        linked.append(batch)
+        return link(program, batch, sat)
+
+    monkeypatch.setattr(engine, "_link", spy)
+    cfg = SimConfig(spec=construct_frozen_set(8, 128, 0.5), ebno_db=(1.0, 2.0, 3.0),
+                    max_frames=200, min_frame_errors=10_000)
+    assert [r.frames for r in run_simulation(cfg)] == [200] * 3
+    assert linked == [128, 72]
 
 
 def test_stops_on_frame_errors():
@@ -323,5 +351,8 @@ def test_config_validation():
         SimConfig(spec=spec, ebno_db=(1.0,), max_frames=0)
     with pytest.raises(ValueError):
         SimConfig(spec=spec, ebno_db=(1.0,), batch_size=0)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            SimConfig(spec=spec, ebno_db=(1.0,), workers=workers)
     with pytest.raises(ValueError):
         SimConfig(spec=CodeSpec(frozen_mask=np.ones(16, dtype=bool)), ebno_db=(1.0,))
