@@ -2,17 +2,29 @@
 
 The engine is a behavioral model of the hardware datapath: per-stage alpha
 buffers hold soft values, a beta memory holds the decisions, and
-instructions read and write whole stage buffers.  All buffers carry a
-leading frame axis, so one pass decodes a batch.  Resource limits (P) never
+instructions read and write whole stage buffers.  Resource limits (P) never
 change values here; they only matter to the latency estimate and the
 optional debug check on modeled memory accesses.
 
-The first call for a given batch size B and saturation limit (which also
-fixes the value type) links the program: one walk over the instructions
-binds each one to its operands, views into planned buffers, and yields a
-list of steps.  The plan is cached on the Program; later calls of the same
-shape only gather the input straight into the plan, run the steps and
-gather the decisions into the returned array.  That array is a call's only
+Fixed-point calls run in a compiled interpreter, `_cengine.c`, when it
+builds.  The first such call in a process compiles it with the system C
+compiler (`cc -O3`, no -march=native) into the per-user cache directory
+(~/.cache/fastssc, or $XDG_CACHE_HOME/fastssc; ~/Library/Caches/fastssc on
+macOS), keyed by the source, the flags and the machine type, and loads it
+through ctypes; later processes load the cached file.  It decodes frame by
+frame in one workspace of 2N values and N decisions, with exactly the
+steps below.  With no compiler, or a failed build, fixed point runs on the
+numpy steps, with the same results.  Float calls always run on numpy: their
+bit-exactness rests on numpy's pairwise REP summation order and BLAS's ML4
+`matmul` order, where integer sums are exact in any order.
+
+The numpy steps carry a leading frame axis on all buffers, so one pass
+decodes a batch.  The first call for a given batch size B and saturation
+limit (which also fixes the value type) links the program: one walk over
+the instructions binds each one to its operands, views into planned
+buffers, and yields a list of steps.  The plan is cached on the Program;
+later calls of the same shape only gather the input straight into the
+plan, run the steps and gather the decisions into the returned array.  That array is a call's only
 (B, N) allocation, unless the input needs a cast to the working dtype.  A
 plan holds
 
@@ -35,9 +47,11 @@ there; SPC magnitudes go into the F scratch.  REP and REP-SPC sum without
 saturation (int64 or float64); REP-SPC decides its repetition bit d first
 and then decodes the one parity branch d selects, as a P-RSPC.
 
-That is about (2N + N/2)*B*itemsize + N*B bytes.  Only the plan of the most
-recent call shape is kept, and a running call takes it out of the cache, so
-concurrent calls never share buffers.
+That is about (2N + N/2)*B*itemsize + N*B bytes.  The plans of the two
+most recent call shapes are kept, and a running call takes its plan out of
+the cache, so concurrent calls never share buffers.  The C path keeps only
+a read-only instruction table in the same cache, from the walk that _link
+uses.
 
 Values are float64 in the float domain.  In fixed point they use the
 narrowest signed integer that holds 2*internal_limit (int8 up to W=7, int16
@@ -45,7 +59,16 @@ up to W=15, int32 up to W=31), so G forms b +- a without widening and then
 clips in place.
 """
 
-from functools import partial
+import ctypes
+import os
+import platform
+import shutil
+import subprocess
+import sys
+import tempfile
+import zlib
+from functools import cache, partial
+from pathlib import Path
 
 import numpy as np
 
@@ -110,17 +133,21 @@ def execute(program, channel_llrs, quant=None, debug=False):
     if debug:
         for pc, ins in enumerate(program.instructions):
             _check_access(ins, program.p, pc)
-    key = (x.shape[0], sat)
-    plans = program._plans
-    plan = plans.pop(key, None)
-    if plan is None:
-        plan = _link(program, *key)
-    try:
-        out = _run(plan, x)
-    finally:
-        plans[key] = plan  # the two most recent shapes stay: a run and its short last batch
-        for old in list(plans)[:-2]:
-            plans.pop(old, None)
+    lib = None if sat is None else _c_library()
+    if lib is not None:
+        out = _run_c(lib, program, x, sat)
+    else:
+        key = (x.shape[0], sat)
+        plans = program._plans
+        plan = plans.pop(key, None)
+        if plan is None:
+            plan = _link(program, *key)
+        try:
+            out = _run(plan, x)
+        finally:
+            plans[key] = plan  # the two most recent shapes stay: a run and its short last batch
+            for old in [k for k in plans if k is not None][:-2]:  # None: the C path's table
+                plans.pop(old, None)
     return out.reshape(lead + (program.N,)) if lead else out[0]
 
 
@@ -142,8 +169,7 @@ def _run(plan, x):
 def _link(program, batch, sat):
     """Bind every instruction to views of freshly planned buffers."""
     n = program.n_bits
-    # fixed point: the narrowest signed integer that holds b +- a unclipped
-    dtype = np.dtype(np.float64) if sat is None else np.min_scalar_type(-2 * sat)
+    dtype = _dtype(sat)
     alpha = [np.empty((batch, 1 << s), dtype) for s in range(n + 1)]
     scratch = np.empty(batch << (n - 1), dtype)
     beta = np.zeros((batch, 1 << n), np.bool_)
@@ -159,15 +185,11 @@ def _link(program, batch, sat):
     def tmp(size):  # F's temporary; also free for leaf and P-* steps
         return scratch[: batch * size].reshape(batch, size)
 
-    start = [0] * (n + 1)  # first leaf index of the open node at each stage
     steps = []
-    for ins in program.instructions:
-        op, s, row = ins.op, ins.stage, OPS[ins.op]
-        size = 1 << s
+    for ins, (_, s, lo, parent) in zip(program.instructions, _walk(program).tolist()):
+        op, row, size = ins.op, OPS[ins.op], 1 << s
         if row.side is not None:
             # descent: stage s child values from the open stage s+1 node
-            parent = start[s + 1]
-            start[s] = parent + size if row.side else parent
             a, b = alpha[s + 1][:, :size], alpha[s + 1][:, size:]
             if op is Opcode.F:
                 block, t = max(1, _F_BLOCK_BYTES // (size * dtype.itemsize)), tmp(size)
@@ -179,7 +201,7 @@ def _link(program, batch, sat):
                 left = None if row.zero_left else beta[:, parent : parent + size]
                 steps.append(partial(_g, a, b, left, alpha[s], minus2, bounds))
             continue
-        lo, mid, hi = start[s], start[s] + size // 2, start[s] + size
+        mid, hi = lo + size // 2, lo + size
         node, left, right = beta[:, lo:hi], beta[:, lo:mid], beta[:, mid:hi]
         if op is Opcode.COMBINE:
             steps.append(partial(np.bitwise_xor, left, right, out=left))
@@ -207,6 +229,96 @@ def _link(program, batch, sat):
                                partial(_rep, tmp(4), left, acc, d), step)
             steps.append(step)
     return steps, alpha[n], beta, bit_reverse_permutation(n)
+
+
+def _dtype(sat):
+    """float64, or in fixed point the narrowest signed integer that holds b +- a unclipped."""
+    return np.dtype(np.float64) if sat is None else np.min_scalar_type(-2 * sat)
+
+
+def _walk(program):
+    """The program as an int64 table of (opcode, stage, start, parent) rows.
+
+    start is the first leaf index of the instruction's node, the child for a
+    descent, so the node owns beta[start : start + 2^stage]; parent is the
+    start of the node one stage up.
+    """
+    start = [0] * (program.n_bits + 2)  # of the open node at each stage
+    rows = []
+    for ins in program.instructions:
+        s, side = ins.stage, OPS[ins.op].side
+        if side is not None:
+            start[s] = start[s + 1] + (1 << s if side else 0)
+        rows.append((ins.op, s, start[s], start[s + 1]))
+    return np.array(rows, np.int64).reshape(-1, 4)
+
+
+# No -march=native: the cache directory may be shared with another CPU.
+_CFLAGS = ("-std=c99", "-O3", "-shared", "-fPIC")
+
+
+@cache
+def _c_library(cc="cc", cache_dir=None):
+    """The compiled fixed-point interpreter, `_cengine.c` through ctypes, or
+    None when it cannot be built or loaded.
+
+    It is built on first use into the per-user cache directory, under a name
+    keyed by the source, the flags and the machine type.  The compiler
+    writes a temporary file that is then renamed into place, so concurrent
+    processes never load a partial library.  cc and cache_dir let tests
+    build with another compiler into another directory.
+    """
+    source = Path(__file__).with_name("_cengine.c")
+    try:
+        # crc32, not hashlib: importing hashlib alone costs ~3.5 MB of RSS
+        key = zlib.crc32(b" ".join([source.read_bytes(), platform.machine().encode(),
+                                    *map(str.encode, _CFLAGS)]))
+        lib = Path(cache_dir or _user_cache_dir()) / f"_cengine-{key:08x}.so"
+        if not lib.exists():
+            compiler = shutil.which(cc)
+            if compiler is None:
+                return None
+            lib.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(".so", ".build-", lib.parent)
+            os.close(fd)
+            try:
+                subprocess.run([compiler, *_CFLAGS, "-o", tmp, str(source)],
+                               check=True, capture_output=True, timeout=600)
+                os.replace(tmp, lib)
+            finally:
+                Path(tmp).unlink(missing_ok=True)
+        dll = ctypes.CDLL(str(lib))
+    except (OSError, RuntimeError, subprocess.SubprocessError):
+        return None
+    for bits in (8, 16, 32):
+        fn = getattr(dll, f"decode_int{bits}_t")
+        fn.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 4
+        fn.restype = None
+    return dll
+
+
+def _user_cache_dir():
+    """fastssc's directory in the platform's per-user cache."""
+    if sys.platform == "darwin":
+        return Path.home() / "Library" / "Caches" / "fastssc"
+    return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "fastssc"
+
+
+def _run_c(lib, program, x, sat):
+    """Decode (B, N) integer frames in the compiled interpreter."""
+    table = program._plans.get(None)  # read-only, so concurrent calls may share it
+    if table is None:
+        table = program._plans[None] = (
+            _walk(program), np.asarray(bit_reverse_permutation(program.n_bits), np.int64))
+    steps, rev = table
+    dtype = _dtype(sat)
+    x = np.ascontiguousarray(x, np.int32)  # in the channel range, so the cast is exact
+    out = np.empty(x.shape, np.uint8)
+    work = np.empty(program.N * (2 * dtype.itemsize + 1), np.uint8)
+    getattr(lib, f"decode_{dtype.name}_t")(
+        steps.ctypes.data, len(steps), program.n_bits, sat, len(x),
+        x.ctypes.data, rev.ctypes.data, out.ctypes.data, work.ctypes.data)
+    return out
 
 
 def _f(a, b, out, tmp):

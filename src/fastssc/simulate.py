@@ -30,7 +30,8 @@ def ebno_to_sigma2(ebno_db, rate):
         sigma2 = 1.0 / (2.0 * rate * 10.0 ** (ebno_db / 10.0))
     except (OverflowError, ZeroDivisionError):
         sigma2 = 0.0
-    if not 0 < sigma2 < np.inf:
+    # a subnormal variance is finite, but the LLR scale 2/sigma^2 overflows
+    if not 0 < sigma2 < np.inf or not 2.0 / sigma2 < np.inf:
         raise ValueError(f"Eb/N0 {ebno_db} dB gives no finite, positive noise variance")
     return sigma2
 

@@ -346,6 +346,10 @@ def test_bench_cli_rejects_bad_sizes(capsys, flag, value):
      "--workers", "-1"),
     ("construct", "--n-bits", "5", "--k", "16", "--design-ebno", "4000"),
     ("construct", "--n-bits", "5", "--k", "16", "--design-sigma2", "inf"),
+    # a subnormal noise variance, whose LLR scale 2/sigma^2 overflows
+    ("simulate", "--n-bits", "5", "--k", "16", "--design-sigma2", "0.5", "--ebno", "3080"),
+    ("simulate", "--n-bits", "5", "--k", "16", "--design-sigma2", "0.5", "--ebno", "3080",
+     "--quant", "7:5:1"),
 ])
 def test_bad_noise_and_worker_values_exit_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)

@@ -10,6 +10,7 @@ engine was relinked over planned buffers.
 import numpy as np
 import pytest
 
+from fastssc import engine
 from fastssc.compiler import build_tree, compile_tree
 from fastssc.engine import execute
 from fastssc.polar import CodeSpec, construct_frozen_set
@@ -31,7 +32,7 @@ SIM_CSV = {
 
 
 @pytest.mark.parametrize("quant", ["float", "7:5:1"])
-def test_simulation_csv_matches_recorded(quant):
+def test_simulation_csv_matches_recorded(quant, monkeypatch):
     spec = construct_frozen_set(8, 128, ebno_to_sigma2(3.0, 0.5))
     config = SimConfig(
         spec=spec,
@@ -44,6 +45,9 @@ def test_simulation_csv_matches_recorded(quant):
     )
     csv = results_to_csv(run_simulation(config), include_throughput=False)
     assert csv == SIM_CSV[quant]
+    if config.quant is not None:  # again on the numpy path, without the compiled interpreter
+        monkeypatch.setattr(engine, "_c_library", lambda: None)
+        assert results_to_csv(run_simulation(config), include_throughput=False) == csv
 
 
 # A (128, 54) mask, bit-reversed order, built so that the default rules emit
@@ -117,11 +121,13 @@ def packed_hex(beta):
 
 
 @pytest.mark.parametrize("name", ["ga", "ml"])
-def test_zero_llr_decisions_match_recorded(name):
+def test_zero_llr_decisions_match_recorded(name, monkeypatch):
     prog = golden_program(name)
     x, xi = zero_tie_frames()
     want_float, want_fixed = ZERO_TIE_OUTPUTS[name]
     assert packed_hex(execute(prog, x)) == want_float
+    assert packed_hex(execute(prog, xi, quant=QuantScheme(6, 4, 1))) == want_fixed
+    monkeypatch.setattr(engine, "_c_library", lambda: None)  # the numpy path
     assert packed_hex(execute(prog, xi, quant=QuantScheme(6, 4, 1))) == want_fixed
     # one frame at a time gives the same decisions as the batch
     assert packed_hex([execute(prog, row) for row in x[:4]]) == want_float[:4]

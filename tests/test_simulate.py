@@ -48,8 +48,9 @@ def test_ebno_to_sigma2():
         ebno_to_sigma2(1.0, 0.0)
     with pytest.raises(ValueError):
         ebno_to_sigma2(1.0, 1.2)
-    # the variance must come out finite and positive
-    for ebno in (-np.inf, np.inf, np.nan, 4000.0):
+    # the variance must come out finite and positive, and 2/sigma^2 finite:
+    # 3080 dB gives a subnormal variance, 1e-308 at rate 0.5
+    for ebno in (-np.inf, np.inf, np.nan, 4000.0, 3080.0):
         with pytest.raises(ValueError, match="noise variance"):
             ebno_to_sigma2(ebno, 0.5)
 
