@@ -5,13 +5,14 @@
  * value for value; that path is the reference the tests compare it with.
  *
  * decode_int8_t, decode_int16_t and decode_int32_t take a program as a table of
- * (opcode, stage, node start, parent start) rows, one per instruction, made
- * by the engine's walk.  Opcode numbers are compiler.Opcode's.  Each frame is
+ * (opcode, stage, node start) rows, one per instruction: Program.table, from
+ * the compiler's walk.  Opcode numbers are compiler.Opcode's.  Each frame is
  * decoded on its own, in one workspace of 2N values of the working type
  * (the stage-s buffer of 2^s values at offset 2^s) and N decision bytes in
  * natural order, where the node starting at leaf `start` owns
- * beta[start, start + 2^s).  Soft values never leave [-sat, sat], and the
- * working type holds 2*sat, so b +- a is exact before G clips it.
+ * beta[start, start + 2^s), so a G's left sibling ends at its start.  Soft
+ * values never leave [-sat, sat], and the working type holds 2*sat, so b +- a
+ * is exact before G clips it.
  */
 #include <stdint.h>
 #include <string.h>
@@ -100,7 +101,7 @@ static void combine(uint8_t *restrict left, const uint8_t *restrict right, int64
     static void frame_##T(const int64_t *prog, int64_t count, T sat, T *alpha,            \
                           uint8_t *beta)                                                  \
     {                                                                                     \
-        for (const int64_t *ins = prog; ins < prog + 4 * count; ins += 4) {               \
+        for (const int64_t *ins = prog; ins < prog + 3 * count; ins += 3) {               \
             int64_t size = (int64_t)1 << ins[1], half = size / 2;                         \
             /* a descent reads stage s+1 and writes stage s; a closer reads stage s, */   \
             /* and the stage s-1 buffer is free for the G of a merged step */             \
@@ -108,7 +109,7 @@ static void combine(uint8_t *restrict left, const uint8_t *restrict right, int64
             uint8_t *left = beta + ins[2], *right = left + half;                          \
             switch (ins[0]) {                                                             \
             case F: f_##T(up, up + size, node, size); break;                              \
-            case G: g_##T(up, up + size, beta + ins[3], node, size, sat); break;          \
+            case G: g_##T(up, up + size, left - size, node, size, sat); break;            \
             case G_0R: g_##T(up, up + size, NULL, node, size, sat); break;                \
             case COMBINE: combine(left, right, half); break;                              \
             case COMBINE_0R: memcpy(left, right, (size_t)half); break;                    \

@@ -168,6 +168,8 @@ def _read_llrs(path, width, quant):
         except ValueError:
             kind = "integer" if quant is not None else "real"
             raise ValueError(f"{path}:{lineno}: {kind} LLR values required")
+        if quant is not None and not -(1 << 31) <= min(rows[-1]) <= max(rows[-1]) < 1 << 31:
+            raise ValueError(f"{path}:{lineno}: integer LLR values must fit in 32 bits")
     if not rows:
         raise ValueError(f"{path}: no frames found")
     dtype = np.int32 if quant is not None else np.float64

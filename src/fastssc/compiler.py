@@ -19,6 +19,7 @@ import re
 import struct
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -367,9 +368,19 @@ class Program:
     def N(self):
         return 1 << self.n_bits
 
+    @cached_property
+    def table(self):
+        """Read-only int64 (opcode, stage, start) rows, walk_stages' nodes; built on first use."""
+        nodes = walk_stages([(i.op, i.right) for i in self.instructions], self.n_bits, self.k)
+        table = np.array([(i.op, *node) for i, node in zip(self.instructions, nodes)], np.int64)
+        table = table.reshape(-1, 3)  # (0, 3) for the empty program
+        table.setflags(write=False)
+        return table
+
     def __getstate__(self):
         state = dict(self.__dict__)
         del state["_plans"]
+        state.pop("table", None)
         return state
 
     def __setstate__(self, state):
@@ -377,7 +388,7 @@ class Program:
 
 
 def walk_stages(ops_sides, n_bits, k, declared=None):
-    """Validate the depth-first structure and return each instruction's stage.
+    """Validate the depth-first structure; return each instruction's node.
 
     The walk tracks a stack of open tree nodes.  Descent instructions must
     match the parent's phase and push a child one stage down; completing
@@ -385,24 +396,26 @@ def walk_stages(ops_sides, n_bits, k, declared=None):
     opcode's side, phase and stage rules are its row of OPS.  When
     `declared` stages are supplied they are checked against the derived
     ones.  Raises ProgramFormatError with the failing program counter.
+    The node of an instruction, the one it opens or closes, is a (stage,
+    start) pair: it owns leaves [start, start + 2^stage).
     """
 
     def err(msg, pc):
         raise ProgramFormatError(msg, pc=pc)
 
-    stages = []
+    nodes = []
     if not ops_sides:
         if k != 0:
             raise ProgramFormatError("empty program for a code with information bits")
-        return stages
+        return nodes
     if k == 0:
         err("an all-frozen code compiles to an empty program", 0)
-    stack = [[n_bits, False, _START, False]]  # stage, is_right, phase, zero_left
+    stack = [[n_bits, False, _START, False, 0]]  # stage, is_right, phase, zero_left, start
     for pc, (op, right) in enumerate(ops_sides):
         if not stack:
             err("instruction after the root completed", pc)
         row, fr = OPS[op], stack[-1]
-        stage, is_right, phase, zero_left = fr
+        stage, is_right, phase, zero_left, start = fr
         if row.side is not None:  # descent: open a child one stage down
             if stage < 1:
                 err("cannot descend below stage 0", pc)
@@ -412,9 +425,10 @@ def walk_stages(ops_sides, n_bits, k, declared=None):
             err(row.phase_error or f"{row.name} {_PHASE_RULE[row.phase]}", pc)
         if row.side is not None:
             if row.zero_left:
-                fr[2:] = _AFTER_LEFT, True
-            stages.append(stage - 1)
-            stack.append([stage - 1, right, _START, False])
+                fr[2:4] = _AFTER_LEFT, True
+            child = start + (1 << stage - 1 if right else 0)
+            nodes.append((stage - 1, child))
+            stack.append([stage - 1, right, _START, False, child])
             continue
         if phase == _AFTER_RIGHT and zero_left != row.zero_left:
             err(f"{row.name} does not match the left-child form used", pc)
@@ -424,17 +438,17 @@ def walk_stages(ops_sides, n_bits, k, declared=None):
             err(f"{row.name} needs stage >= {row.min_stage}", pc)
         if right != is_right:
             err(f"{row.name} side flag does not match the open node", pc)
-        stages.append(stage)
+        nodes.append((stage, start))
         stack.pop()
         if stack:
             stack[-1][2] = _AFTER_RIGHT if is_right else _AFTER_LEFT
     if stack:
         raise ProgramFormatError("program ends with unfinished nodes", pc=len(ops_sides) - 1)
     if declared is not None:
-        for pc, (have, want) in enumerate(zip(declared, stages)):
+        for pc, (have, (want, _)) in enumerate(zip(declared, nodes)):
             if have != want:
                 err(f"stage {have} does not match the walk (expected {want})", pc)
-    return stages
+    return nodes
 
 
 def estimate_latency(program):
@@ -599,12 +613,12 @@ def parse_program_binary(data):
         if op > max(Opcode):
             raise ProgramFormatError(f"unknown opcode value {op}", pc=i)
         ops_sides.append((Opcode(op), right))
-    stages = walk_stages(ops_sides, n_bits, k)
+    nodes = walk_stages(ops_sides, n_bits, k)
     return Program(
         n_bits=n_bits,
         k=k,
         p=p,
         instructions=tuple(
-            Instruction(op, right, st) for (op, right), st in zip(ops_sides, stages)
+            Instruction(op, right, st) for (op, right), (st, _) in zip(ops_sides, nodes)
         ),
     )

@@ -14,9 +14,10 @@ macOS), keyed by the source, the flags and the machine type, and loads it
 through ctypes; later processes load the cached file.  It decodes frame by
 frame in one workspace of 2N values and N decisions, with exactly the
 steps below.  With no compiler, or a failed build, fixed point runs on the
-numpy steps, with the same results.  Float calls always run on numpy: their
-bit-exactness rests on numpy's pairwise REP summation order and BLAS's ML4
-`matmul` order, where integer sums are exact in any order.
+numpy steps, with the same results, and the process warns once.  Float
+calls always run on numpy: their bit-exactness rests on numpy's pairwise
+REP summation order and BLAS's ML4 `matmul` order, where integer sums are
+exact in any order.
 
 The numpy steps carry a leading frame axis on all buffers, so one pass
 decodes a batch.  The first call for a given batch size B and saturation
@@ -49,9 +50,10 @@ and then decodes the one parity branch d selects, as a P-RSPC.
 
 That is about (2N + N/2)*B*itemsize + N*B bytes.  The plans of the two
 most recent call shapes are kept, and a running call takes its plan out of
-the cache, so concurrent calls never share buffers.  The C path keeps only
-a read-only instruction table in the same cache, from the walk that _link
-uses.
+the cache, so concurrent calls never share buffers.  Both paths read each
+instruction's node from `Program.table`, the compiler walk's read-only
+(opcode, stage, start) rows: _link binds its views from them, and the C
+path takes the table as it is, with no plan.
 
 Values are float64 in the float domain.  In fixed point they use the
 narrowest signed integer that holds 2*internal_limit (int8 up to W=7, int16
@@ -66,6 +68,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 import zlib
 from functools import cache, partial
 from pathlib import Path
@@ -80,6 +83,7 @@ from .kernels import (  # noqa: F401
     g_op, hd_op,
 )
 from .polar import bit_reverse_permutation
+from .quantize import check_channel_llrs
 
 
 # An F whose (B, 2^s) output exceeds this many bytes runs over row blocks
@@ -118,18 +122,8 @@ def execute(program, channel_llrs, quant=None, debug=False):
         raise ValueError(f"expected channel vectors of length {program.N}")
     lead = x.shape[:-1]
     x = x.reshape(-1, program.N)
-    if quant is not None:
-        if not np.issubdtype(x.dtype, np.integer):
-            raise ValueError("fixed-point decoding expects integer channel LLRs")
-        lim = quant.channel_limit
-        if x.size and (int(x.min()) < -lim or int(x.max()) > lim):
-            raise ValueError(f"channel LLRs exceed the +-{lim} channel range")
-        sat = quant.internal_limit
-    else:
-        # min and max carry any NaN or infinity, with no (B, N) mask
-        if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
-            raise ValueError("channel LLRs must be finite (found NaN or infinity)")
-        sat = None
+    check_channel_llrs(x, quant)
+    sat = None if quant is None else quant.internal_limit
     if debug:
         for pc, ins in enumerate(program.instructions):
             _check_access(ins, program.p, pc)
@@ -146,7 +140,7 @@ def execute(program, channel_llrs, quant=None, debug=False):
             out = _run(plan, x)
         finally:
             plans[key] = plan  # the two most recent shapes stay: a run and its short last batch
-            for old in [k for k in plans if k is not None][:-2]:  # None: the C path's table
+            for old in list(plans)[:-2]:
                 plans.pop(old, None)
     return out.reshape(lead + (program.N,)) if lead else out[0]
 
@@ -186,8 +180,8 @@ def _link(program, batch, sat):
         return scratch[: batch * size].reshape(batch, size)
 
     steps = []
-    for ins, (_, s, lo, parent) in zip(program.instructions, _walk(program).tolist()):
-        op, row, size = ins.op, OPS[ins.op], 1 << s
+    for op, s, lo in program.table.tolist():
+        op, row, size = Opcode(op), OPS[op], 1 << s
         if row.side is not None:
             # descent: stage s child values from the open stage s+1 node
             a, b = alpha[s + 1][:, :size], alpha[s + 1][:, size:]
@@ -198,7 +192,7 @@ def _link(program, batch, sat):
                 # narrow: _f itself; wide: one step over blocks that share the first rows of t
                 steps.append(fs[0] if len(fs) == 1 else partial(_seq, *fs))
             else:
-                left = None if row.zero_left else beta[:, parent : parent + size]
+                left = None if row.zero_left else beta[:, lo - size : lo]  # the left sibling
                 steps.append(partial(_g, a, b, left, alpha[s], minus2, bounds))
             continue
         mid, hi = lo + size // 2, lo + size
@@ -236,23 +230,6 @@ def _dtype(sat):
     return np.dtype(np.float64) if sat is None else np.min_scalar_type(-2 * sat)
 
 
-def _walk(program):
-    """The program as an int64 table of (opcode, stage, start, parent) rows.
-
-    start is the first leaf index of the instruction's node, the child for a
-    descent, so the node owns beta[start : start + 2^stage]; parent is the
-    start of the node one stage up.
-    """
-    start = [0] * (program.n_bits + 2)  # of the open node at each stage
-    rows = []
-    for ins in program.instructions:
-        s, side = ins.stage, OPS[ins.op].side
-        if side is not None:
-            start[s] = start[s + 1] + (1 << s if side else 0)
-        rows.append((ins.op, s, start[s], start[s + 1]))
-    return np.array(rows, np.int64).reshape(-1, 4)
-
-
 # No -march=native: the cache directory may be shared with another CPU.
 _CFLAGS = ("-std=c99", "-O3", "-shared", "-fPIC")
 
@@ -260,7 +237,8 @@ _CFLAGS = ("-std=c99", "-O3", "-shared", "-fPIC")
 @cache
 def _c_library(cc="cc", cache_dir=None):
     """The compiled fixed-point interpreter, `_cengine.c` through ctypes, or
-    None when it cannot be built or loaded.
+    None, with a UserWarning that names the reason, when it cannot be built
+    or loaded.
 
     It is built on first use into the per-user cache directory, under a name
     keyed by the source, the flags and the machine type.  The compiler
@@ -277,7 +255,7 @@ def _c_library(cc="cc", cache_dir=None):
         if not lib.exists():
             compiler = shutil.which(cc)
             if compiler is None:
-                return None
+                raise OSError(f"no C compiler {cc!r} on PATH")
             lib.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(".so", ".build-", lib.parent)
             os.close(fd)
@@ -288,7 +266,10 @@ def _c_library(cc="cc", cache_dir=None):
             finally:
                 Path(tmp).unlink(missing_ok=True)
         dll = ctypes.CDLL(str(lib))
-    except (OSError, RuntimeError, subprocess.SubprocessError):
+    except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
+        # not a RuntimeWarning: where those are errors, the fallback must still run
+        warnings.warn(f"fastssc: the compiled fixed-point interpreter is unavailable ({exc}); "
+                      "fixed point runs on the slower numpy steps", UserWarning, stacklevel=3)
         return None
     for bits in (8, 16, 32):
         fn = getattr(dll, f"decode_int{bits}_t")
@@ -306,11 +287,7 @@ def _user_cache_dir():
 
 def _run_c(lib, program, x, sat):
     """Decode (B, N) integer frames in the compiled interpreter."""
-    table = program._plans.get(None)  # read-only, so concurrent calls may share it
-    if table is None:
-        table = program._plans[None] = (
-            _walk(program), np.asarray(bit_reverse_permutation(program.n_bits), np.int64))
-    steps, rev = table
+    steps, rev = program.table, np.asarray(bit_reverse_permutation(program.n_bits), np.int64)
     dtype = _dtype(sat)
     x = np.ascontiguousarray(x, np.int32)  # in the channel range, so the cast is exact
     out = np.empty(x.shape, np.uint8)

@@ -67,6 +67,20 @@ def parse_quant(text):
     return QuantScheme(w, wc, f)
 
 
+def check_channel_llrs(llrs, quant):
+    """Raise ValueError unless the array llrs is a decoder's valid input:
+    finite floats, or with a scheme integers within its channel range."""
+    if quant is not None:
+        if not np.issubdtype(llrs.dtype, np.integer):
+            raise ValueError("fixed-point decoding expects integer channel LLRs")
+        lim = quant.channel_limit
+        if llrs.size and (int(llrs.min()) < -lim or int(llrs.max()) > lim):
+            raise ValueError(f"channel LLRs exceed the +-{lim} channel range")
+    # min and max carry any NaN or infinity, with no mask of llrs' shape
+    elif llrs.size and not (np.isfinite(llrs.min()) and np.isfinite(llrs.max())):
+        raise ValueError("channel LLRs must be finite (found NaN or infinity)")
+
+
 # quantize_channel adds its +-0.5 in chunks of this many values, through one
 # 256 KB temporary
 _CHUNK = 1 << 15

@@ -10,6 +10,7 @@ import numpy as np
 
 from .kernels import combine_op, f_op, g_op, hd_op
 from .polar import bit_reverse_permutation
+from .quantize import check_channel_llrs
 
 
 def sc_decode(channel_llrs, spec, quant=None):
@@ -18,7 +19,8 @@ def sc_decode(channel_llrs, spec, quant=None):
     Parameters
     ----------
     channel_llrs : array_like, shape (..., N)
-        Transmission-order soft values; float, or int32 when quant is given.
+        Transmission-order soft values: finite floats, or integers in the
+        channel range when quant is given.
     spec : CodeSpec
     quant : QuantScheme, optional
         Enables saturating fixed-point arithmetic in the g update.
@@ -31,6 +33,7 @@ def sc_decode(channel_llrs, spec, quant=None):
     alpha = np.asarray(channel_llrs)
     if alpha.shape[-1] != spec.N:
         raise ValueError(f"expected length {spec.N}, got {alpha.shape[-1]}")
+    check_channel_llrs(alpha, quant)
     squeeze = alpha.ndim == 1
     if squeeze:
         alpha = alpha[None, :]

@@ -3,10 +3,12 @@
 `engine.execute` decodes fixed-point frames in `_cengine.c` when the library
 builds, and the numpy steps are its bit-exact reference.  The tests reach
 the numpy path by making `engine._c_library` return None, which is also what
-a missing compiler or a failed build gives.
+a missing compiler or a failed build gives, there with a UserWarning.
 """
 
+import os
 import shutil
+import subprocess
 import sys
 import threading
 from functools import partial
@@ -97,18 +99,47 @@ def failing_compiler(path):
 @pytest.mark.parametrize("compiler", ["missing", "failing"])
 def test_failed_build_falls_back_to_numpy(compiler, tmp_path, monkeypatch):
     cc = tmp_path / "cc"
+    reason = "no C compiler"
     if compiler == "failing":
         failing_compiler(cc)
+        reason = "returned non-zero exit status 1"
     cache = tmp_path / "cache"
     q = parse_quant("7:5:1")
     prog = compile_tree(build_tree(construct_frozen_set(9, 300, 0.5), 64))
     x = sweep_frames(9, q.channel_limit, np.random.default_rng(3))[0].astype(np.int32)
     want = execute(prog, x, quant=q)  # the C path when a compiler is on PATH
     build = partial(engine._c_library.__wrapped__, str(cc), cache)
-    assert build() is None
+    with pytest.warns(UserWarning, match=reason):
+        assert build() is None
     monkeypatch.setattr(engine, "_c_library", build)
-    assert np.array_equal(execute(prog, x, quant=q), want)
+    with pytest.warns(UserWarning, match="fixed point runs on the slower numpy steps"):
+        assert np.array_equal(execute(prog, x, quant=q), want)
     assert not cache.exists() or not any(cache.iterdir())  # no partial library
+
+
+def test_fallback_warns_once_per_process(tmp_path):
+    """With no compiler and an empty cache, a process warns once, however
+    many fixed-point calls it makes, even where every warning is shown."""
+    script = (
+        "import warnings; warnings.simplefilter('always')\n"
+        "import numpy as np\n"
+        "from fastssc.compiler import build_tree, compile_tree\n"
+        "from fastssc.engine import execute\n"
+        "from fastssc.polar import construct_frozen_set\n"
+        "from fastssc.quantize import parse_quant\n"
+        "prog = compile_tree(build_tree(construct_frozen_set(5, 20, 0.5), 64))\n"
+        "for _ in range(3):\n"
+        "    execute(prog, np.ones((2, 32), np.int32), quant=parse_quant('7:5:1'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(engine.__file__))  # this fastssc, also in the child
+    env = dict(os.environ, PATH=str(tmp_path), XDG_CACHE_HOME=str(tmp_path),
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.count("UserWarning: fastssc: the compiled fixed-point interpreter is "
+                            "unavailable (no C compiler 'cc' on PATH)") == 1
+    assert run.stderr.count("Warning") == 1
 
 
 def test_concurrent_calls_on_the_c_path():

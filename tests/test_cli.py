@@ -259,6 +259,21 @@ def test_bad_input_files(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "show-program", "--program", str(trunc))
     assert rc == 2
 
+    # LLR files that the SC reference rejects as the compiled engine does
+    prog = tmp_path / "prog.txt"
+    run_cli(capsys, "compile", "--mask", str(mask), "-o", str(prog))
+    llrs = tmp_path / "llr.txt"
+    for line, quant, msg in [
+        ("nan 1 1 1 1 1 1 1", [], "channel LLRs must be finite (found NaN or infinity)"),
+        ("1000 1 1 1 1 1 1 1", ["--quant", "7:5:1"], "channel LLRs exceed the +-15 channel range"),
+        ("1 1 99999999999 1 1 1 1 1", ["--quant", "7:5:1"],
+         f"{llrs}:2: integer LLR values must fit in 32 bits"),
+    ]:
+        write_lines(llrs, ["1 1 1 1 1 1 1 1", line])
+        for algo in (["--algo", "sc", "--mask", str(mask)], ["--program", str(prog)]):
+            rc, out, err = run_cli(capsys, "decode", *algo, *quant, "--in", str(llrs))
+            assert (rc, out, err) == (2, "", f"fastssc: error: {msg}\n"), algo
+
 
 def test_bad_flags_exit_1(capsys):
     with pytest.raises(SystemExit) as e:

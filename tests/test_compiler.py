@@ -265,20 +265,31 @@ def test_merged_parity_cost_tiers():
 
 
 def test_instruction_stage_walk_matches_tree_descent():
-    """Descents drop the stage by one; completing ops close the open node."""
+    """Descents drop the stage by one; completing ops close the open node.
+    Each table row holds the (stage, start) of the tree node its instruction
+    opens or closes."""
     descend = (Opcode.F, Opcode.G, Opcode.G_0R)
     for names in ("ssc", "all"):
         spec = construct_frozen_set(9, 320, 0.4)
-        prog = compile_tree(build_tree(spec, 16, rules_from_names(names)))
+        tree = build_tree(spec, 16, rules_from_names(names))
+        prog = compile_tree(tree)
+        assert prog.table.shape == (len(prog.instructions), 3)
+        assert not prog.table.flags.writeable
         stack = [prog.n_bits]
-        for ins in prog.instructions:
+        nodes = [tree.root]  # the open tree nodes
+        for ins, (op, stage, start) in zip(prog.instructions, prog.table.tolist()):
+            assert op == ins.op
             if ins.op in descend:
                 assert ins.stage == stack[-1] - 1
                 stack.append(ins.stage)
+                nodes.append(nodes[-1].left if ins.op is Opcode.F else nodes[-1].right)
+                node = nodes[-1]
             else:
                 assert ins.stage == stack[-1]
                 stack.pop()
-        assert stack == []
+                node = nodes.pop()
+            assert (stage, start) == (node.stage, node.start)
+        assert stack == [] and nodes == []
 
 
 # One structurally invalid program per walk message: (N, k, instruction

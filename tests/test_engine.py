@@ -301,5 +301,6 @@ def test_plan_cache_is_not_pickled():
     assert len(after) == len(before)
     clone = pickle.loads(after)
     assert clone.instructions == prog.instructions
+    assert np.array_equal(clone.table, prog.table)
     assert repr(clone) == repr(prog)
     assert np.array_equal(execute(clone, llr), out)

@@ -1,6 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
+from fastssc.compiler import build_tree, compile_tree
+from fastssc.engine import execute
 from fastssc.polar import (
     CodeSpec,
     construct_frozen_set,
@@ -26,6 +30,22 @@ def test_n2_hand_traces():
 def test_length_validation():
     with pytest.raises(ValueError):
         sc_decode(np.zeros(4), spec_n2())
+
+
+def test_rejects_what_execute_rejects():
+    """NaN, infinite, non-integer fixed-point and out-of-range channel LLRs
+    fail with execute's messages."""
+    spec = construct_frozen_set(3, 4, 0.5)
+    prog = compile_tree(build_tree(spec, 8))
+    q = QuantScheme(7, 5, 1)
+    frame = np.ones(8)
+    cases = [(np.where(np.arange(8) == 0, bad, frame), None) for bad in (np.nan, np.inf, -np.inf)]
+    cases += [(frame, q), (frame.astype(np.int32) * 16, q), (frame.astype(np.int32) * -16, q)]
+    for x, quant in cases:
+        with pytest.raises(ValueError) as want:
+            execute(prog, x, quant=quant)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            sc_decode(x, spec, quant=quant)
 
 
 def test_noiseless_decodes_exactly():
