@@ -39,13 +39,22 @@ static void combine(uint8_t *restrict left, const uint8_t *restrict right, int64
         }                                                                                 \
     }                                                                                     \
                                                                                           \
-    /* G: b - a where the left decision is 1, else b + a (left NULL: G-0R), clipped */    \
+    static T clip_##T(T v, T sat) { return v > sat ? sat : v < -sat ? (T)-sat : v; }      \
+                                                                                          \
+    /* G: b - a where the left decision is 1, else b + a (left NULL: G-0R), clipped.      \
+       With s = -left[i], 0 or all ones, (a ^ s) - s is a or -a, so b +- a takes no       \
+       branch; it is exact, as |a| <= sat and T holds 2*sat */                            \
     static void g_##T(const T *restrict a, const T *restrict b,                           \
                       const uint8_t *restrict left, T *restrict out, int64_t m, T sat)   \
     {                                                                                     \
+        if (!left) {                                                                      \
+            for (int64_t i = 0; i < m; i++)                                               \
+                out[i] = clip_##T((T)(b[i] + a[i]), sat);                                 \
+            return;                                                                       \
+        }                                                                                 \
         for (int64_t i = 0; i < m; i++) {                                                 \
-            T v = (T)(left && left[i] ? b[i] - a[i] : b[i] + a[i]);                       \
-            out[i] = v > sat ? sat : v < -sat ? (T)-sat : v;                              \
+            T s = (T)-left[i], sa = (T)((a[i] ^ s) - s);                                  \
+            out[i] = clip_##T((T)(b[i] + sa), sat);                                       \
         }                                                                                 \
     }                                                                                     \
                                                                                           \

@@ -224,23 +224,42 @@ def _phi_log(m):
 
 
 def _phi_log_inv(lv):
-    """Solve _phi_log(x) = lv for x, elementwise, lv < 0."""
+    """Solve _phi_log(x) = lv for x, elementwise, lv < 0.
+
+    Below the branch point this runs Newton's method on all values at once,
+    until every step is under 1e-12 or for 60 iterations.  A value whose
+    update leaves x unchanged (also one clamped at _GA_SPLIT) is at a fixed
+    point: every later iteration computes the same step for it, as numpy's
+    log and log1p give a value the same result wherever it sits.  Once at
+    most half of the values still move, the fixed ones are written out and
+    dropped, and the largest of their |step| stays in the exit test, so the
+    loop runs exactly as many iterations as over the full array and every
+    result is the same to the bit.
+    """
     lv = np.asarray(lv, dtype=np.float64)
     out = np.empty_like(lv)
     easy = lv >= _GA_LV_SPLIT
     out[easy] = ((_GA_C - lv[easy]) / -_GA_A) ** (1.0 / _GA_B)
-    hard = ~easy
-    if hard.any():
-        t = lv[hard]
-        x = -4.0 * t  # dominant -x/4 term makes this a tight start
-        for _ in range(60):
-            g = -x / 4.0 + 0.5 * (_LN_PI - np.log(x)) + np.log1p(-10.0 / (7.0 * x)) - t
-            gp = -0.25 - 0.5 / x + 10.0 / (x * (7.0 * x - 10.0))
-            step = g / gp
-            x = np.maximum(x - step, _GA_SPLIT)
-            if np.max(np.abs(step)) < 1e-12:
-                break
-        out[hard] = x
+    idx = np.flatnonzero(~easy)
+    t = lv[idx]
+    x = -4.0 * t  # dominant -x/4 term makes this a tight start
+    parked = 0.0  # the largest |step| of the dropped values
+    for _ in range(60):
+        if not x.size:
+            break
+        g = -x / 4.0 + 0.5 * (_LN_PI - np.log(x)) + np.log1p(-10.0 / (7.0 * x)) - t
+        gp = -0.25 - 0.5 / x + 10.0 / (x * (7.0 * x - 10.0))
+        step = g / gp
+        nx = np.maximum(x - step, _GA_SPLIT)
+        mag, moving, x = np.abs(step), nx != x, nx
+        if parked < 1e-12 and mag.max() < 1e-12:  # a NaN step never exits
+            break
+        if 2 * np.count_nonzero(moving) <= x.size:
+            fixed = ~moving
+            out[idx[fixed]] = x[fixed]
+            parked = max(parked, mag[fixed].max())
+            idx, t, x = idx[moving], t[moving], x[moving]
+    out[idx] = x
     return out
 
 
@@ -286,12 +305,11 @@ def construct_frozen_set(n_bits, k, design_sigma2):
         raise ValueError(f"k must be in (0, {N}], got {k}")
     if not 0 < design_sigma2 < np.inf:
         raise ValueError(f"design_sigma2 must be finite and positive, got {design_sigma2}")
-    means = _ga_means(n_bits, design_sigma2)
-    rev = bit_reverse_permutation(n_bits)
-    order = np.lexsort((rev, means))
-    frozen_natural = np.zeros(N, dtype=bool)
-    frozen_natural[order[: N - k]] = True
-    return CodeSpec(frozen_mask=frozen_natural[rev], design_sigma2=design_sigma2)
+    # rank stored positions: a stable sort puts the lower one first on ties
+    means = _ga_means(n_bits, design_sigma2)[bit_reverse_permutation(n_bits)]
+    frozen = np.zeros(N, dtype=bool)
+    frozen[np.argsort(means, kind="stable")[: N - k]] = True
+    return CodeSpec(frozen_mask=frozen, design_sigma2=design_sigma2)
 
 
 def encode_systematic(a, spec, out=None):

@@ -31,8 +31,8 @@ def sc_decode(channel_llrs, spec, quant=None):
         The re-encoded decision vector (root beta), a valid codeword.
     """
     alpha = np.asarray(channel_llrs)
-    if alpha.shape[-1] != spec.N:
-        raise ValueError(f"expected length {spec.N}, got {alpha.shape[-1]}")
+    if alpha.ndim == 0 or alpha.shape[-1] != spec.N:
+        raise ValueError(f"expected channel vectors of length {spec.N}")
     check_channel_llrs(alpha, quant)
     squeeze = alpha.ndim == 1
     if squeeze:

@@ -191,18 +191,21 @@ def _pool_task(*job):
 
 def _bind_batch(program, quant, rows):
     """_sim_batch bound to a program, a scheme and one reused (rows, N) workspace."""
-    work = np.empty((rows, program.N), np.uint8), np.empty((rows, program.N))
+    shape = (rows, program.N)
+    work = np.empty(shape, np.uint8), np.empty(shape), np.empty(shape, np.uint8)
     return partial(_sim_batch, program, quant, work)
 
 
 def _sim_batch(program, quant, work, entropy, sigma, size):
     """Decode one batch of random frames; returns (size, bit errors, frame errors).
 
-    The codewords and LLRs are formed in the first `size` rows of the
-    workspace; the drawn bits and the decisions are fresh arrays.
+    The codewords, the LLRs and the wrong decisions are formed in the first
+    `size` rows of the workspace; the drawn bits and the decisions are fresh
+    arrays.  Systematic codewords carry the bits at the unfrozen positions,
+    so a decision there is wrong where it differs from the codeword.
     """
     spec = program.spec
-    codewords, llr = work[0][:size], work[1][:size]
+    codewords, llr, wrong = (w[:size] for w in work)
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
     a = rng.integers(0, 2, size=(size, spec.k), dtype=np.uint8)
     x = encode_systematic(a, spec, out=codewords)
@@ -210,8 +213,9 @@ def _sim_batch(program, quant, work, entropy, sigma, size):
     if quant is not None:
         llr = quantize_channel(llr, quant, out=llr)
     beta = execute(program, llr, quant)
-    wrong = beta[:, spec.info_positions] != a
-    return size, int(wrong.sum()), int(np.count_nonzero(wrong.any(axis=1)))
+    np.bitwise_xor(beta, x, out=wrong)
+    wrong &= spec._keep
+    return size, int(np.count_nonzero(wrong)), int(np.count_nonzero(wrong.any(axis=1)))
 
 
 _CSV_COLUMNS = (

@@ -1,10 +1,12 @@
 import sys
 import tracemalloc
-from functools import reduce
+import zlib
+from functools import partial, reduce
 
 import numpy as np
 import pytest
 
+from fastssc import polar
 from fastssc.polar import (
     CodeSpec,
     MaskFileError,
@@ -19,6 +21,7 @@ from fastssc.polar import (
     spec_from_text,
     spec_to_text,
 )
+from fastssc.simulate import ebno_to_sigma2
 
 F2 = np.array([[1, 0], [1, 1]], dtype=np.uint8)
 
@@ -196,6 +199,78 @@ def test_known_small_code():
     assert list(np.flatnonzero(spec.frozen_mask)) == [0, 2, 4]
     assert list(np.flatnonzero(spec.frozen_natural)) == [0, 1, 2]
     assert list(spec.info_positions) == [1, 3, 5, 6, 7]
+
+
+def reference_phi_log_inv(lv, iterations):
+    """The Newton loop of _phi_log_inv over every value until the last step,
+    without parking fixed points; appends its iteration count to iterations."""
+    lv = np.asarray(lv, dtype=np.float64)
+    out = np.empty_like(lv)
+    easy = lv >= polar._GA_LV_SPLIT
+    out[easy] = ((polar._GA_C - lv[easy]) / -polar._GA_A) ** (1.0 / polar._GA_B)
+    hard = ~easy
+    if hard.any():
+        t = lv[hard]
+        x = -4.0 * t
+        for it in range(1, 61):
+            g = -x / 4.0 + 0.5 * (polar._LN_PI - np.log(x)) + np.log1p(-10.0 / (7.0 * x)) - t
+            gp = -0.25 - 0.5 / x + 10.0 / (x * (7.0 * x - 10.0))
+            step = g / gp
+            x = np.maximum(x - step, polar._GA_SPLIT)
+            if np.max(np.abs(step)) < 1e-12:
+                break
+        out[hard] = x
+        iterations.append(it)
+    return out
+
+
+def test_ga_means_match_the_plain_newton_loop(monkeypatch):
+    """Parking fixed points changes no mean by a bit.  This also rests on
+    numpy's log and log1p giving a value the same result wherever it sits in
+    an array, which the grid checks on this machine."""
+    iterations = []
+    plain = partial(reference_phi_log_inv, iterations=iterations)
+    grid = [(ebno, rate) for ebno in (-5, -2, 0, 1, 2, 3, 4, 5, 6, 8, 10, 15)
+            for rate in (0.1, 0.5, 0.9)]
+    for n in range(1, 17):
+        # the largest levels cost the most; they get a sparser grid
+        for ebno, rate in grid if n <= 12 else [(-2, 0.5), (4, 0.9), (10, 0.1)]:
+            sigma2 = ebno_to_sigma2(ebno, rate)
+            got = polar._ga_means(n, sigma2)
+            with monkeypatch.context() as m:
+                m.setattr(polar, "_phi_log_inv", plain)
+                want = polar._ga_means(n, sigma2)
+            assert np.array_equal(got, want), (n, ebno, rate)
+    # some level ran into the iteration cap, so the exit test was exercised
+    assert max(iterations) == 60
+
+
+def test_parked_steps_count_in_the_exit_test(monkeypatch):
+    """A value held at a fixed point with a step of 1e-12 or more keeps the
+    loop running, so the others go on moving as they would without parking.
+
+    With the fit's own constants every fixed point found has a zero step, so
+    the clamp is raised: -3.5 has its root below 12 and stays clamped there.
+    The second value ends up cycling between two floats, and the last two
+    reach fixed points early, so the clamped value is dropped while the
+    cycling one still moves.
+    """
+    monkeypatch.setattr(polar, "_GA_SPLIT", 12.0)
+    lv = np.array([-3.5] + [float.fromhex(h) for h in (
+        "-0x1.3b5e235b6fc69p+2", "-0x1.326dbbfd8ab6cp+2", "-0x1.33955812427d8p+3")])
+    iterations = []
+    want = reference_phi_log_inv(lv, iterations)
+    assert iterations == [60]
+    assert want[0] == 12.0
+    assert np.array_equal(polar._phi_log_inv(lv), want)
+
+
+@pytest.mark.parametrize("n_bits, k, crc", [(15, 29492, 0x8AD12FD5), (16, 58000, 0x799C934C)])
+def test_large_frozen_masks_are_pinned(n_bits, k, crc):
+    """Masks at 4 dB design Eb/N0, as recorded before the Newton loop parked
+    fixed points and the ranking became one stable sort."""
+    spec = construct_frozen_set(n_bits, k, ebno_to_sigma2(4.0, k / (1 << n_bits)))
+    assert zlib.crc32(spec.frozen_mask.tobytes()) == crc
 
 
 def test_systematic_placement_small_code():

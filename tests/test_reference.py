@@ -30,6 +30,9 @@ def test_n2_hand_traces():
 def test_length_validation():
     with pytest.raises(ValueError):
         sc_decode(np.zeros(4), spec_n2())
+    # a 0-d input has no length to read
+    with pytest.raises(ValueError):
+        sc_decode(1.0, spec_n2())
 
 
 def test_rejects_what_execute_rejects():
