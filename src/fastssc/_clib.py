@@ -1,0 +1,111 @@
+"""The compiled batch steps, `_cengine.c`, built on first use and loaded through ctypes.
+
+The first call of `library()` in a process compiles the source with the
+system C compiler (`cc -O3 -ffp-contract=off`, no -march=native) into the
+per-user cache directory (~/.cache/fastssc, or $XDG_CACHE_HOME/fastssc;
+~/Library/Caches/fastssc on macOS) and loads it; later processes load the
+cached file.  The baseline build comes first.  Where its
+`cpu_supports_x86_64_v3()` probe passes, an `-march=x86-64-v3` build is made
+and loaded in its place.  Each file is named by a key over the source, the
+flags (the ISA level's included) and the machine type, so a cache shared
+between CPUs stays safe.
+
+With no compiler, or a failed build, `library()` is None, the process warns
+once, and every caller (the fixed-point decoder, the systematic encoder, the
+AWGN channel and the quantizer) runs its numpy steps, with the same results.
+Callers look `library` up on this module at each call, so patching it is
+the one switch: tests make it return None for the numpy steps, or one ISA
+level's `variant`.
+"""
+
+import ctypes
+import os
+import platform
+import shutil
+import subprocess
+import sys
+import tempfile
+import warnings
+import zlib
+from functools import cache
+from pathlib import Path
+
+# No -march=native: the cache directory may be shared with another CPU.  No
+# FMA contraction: the channel must round as numpy's separate passes do.
+_CFLAGS = ("-std=c99", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
+LEVELS = {"baseline": (), "x86-64-v3": ("-march=x86-64-v3",)}
+
+_P, _I = ctypes.c_void_p, ctypes.c_int64
+_SIGNATURES = {
+    "decode_int8_t": ([_P] + [_I] * 4 + [_P] * 4, None),
+    "decode_int16_t": ([_P] + [_I] * 4 + [_P] * 4, None),
+    "decode_int32_t": ([_P] + [_I] * 4 + [_P] * 4, None),
+    "lanes": ([_I], _I),
+    "cpu_supports_x86_64_v3": ([], _I),
+    "encode": ([_P, _I, _P, _P, _I, _I, _P], None),
+    "channel": ([_P, _P, _I, ctypes.c_double, ctypes.c_double], None),
+    "quantize": ([_P, _P, _I, ctypes.c_double, ctypes.c_double], _I),
+}
+_FAILURES = (OSError, RuntimeError, subprocess.SubprocessError)
+
+
+@cache
+def library(cc="cc", cache_dir=None):
+    """The fastest loadable build, or None, with a UserWarning that names the
+    reason, when none can be built or loaded.  cc and cache_dir let tests
+    build with another compiler into another directory."""
+    try:
+        lib = variant("baseline", cc, cache_dir)
+    except _FAILURES as exc:
+        # not a RuntimeWarning: where those are errors, the fallback must still run
+        warnings.warn(f"fastssc: the compiled fixed-point interpreter is unavailable ({exc}); "
+                      "fixed point runs on the slower numpy steps, and so do the systematic "
+                      "encoder, the AWGN channel and the quantizer", UserWarning, stacklevel=3)
+        return None
+    if lib.cpu_supports_x86_64_v3():
+        try:
+            return variant("x86-64-v3", cc, cache_dir)
+        except _FAILURES as exc:
+            warnings.warn(f"fastssc: the x86-64-v3 build is unavailable ({exc}); "
+                          "the baseline build runs", UserWarning, stacklevel=3)
+    return lib
+
+
+def variant(level, cc="cc", cache_dir=None):
+    """The build of one ISA level in LEVELS, loaded; raises OSError,
+    RuntimeError or SubprocessError when it cannot be built or loaded.
+
+    The compiler writes a temporary file that is then renamed into place,
+    so concurrent processes never load a partial library.
+    """
+    source = Path(__file__).with_name("_cengine.c")
+    flags = _CFLAGS + LEVELS[level]
+    # crc32, not hashlib: importing hashlib alone costs ~3.5 MB of RSS
+    key = zlib.crc32(b" ".join([source.read_bytes(), platform.machine().encode(),
+                                *map(str.encode, flags)]))
+    lib = Path(cache_dir or _user_cache_dir()) / f"_cengine-{level}-{key:08x}.so"
+    if not lib.exists():
+        compiler = shutil.which(cc)
+        if compiler is None:
+            raise OSError(f"no C compiler {cc!r} on PATH")
+        lib.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(".so", ".build-", lib.parent)
+        os.close(fd)
+        try:
+            subprocess.run([compiler, *flags, "-o", tmp, str(source)],
+                           check=True, capture_output=True, timeout=600)
+            os.replace(tmp, lib)
+        finally:
+            Path(tmp).unlink(missing_ok=True)
+    dll = ctypes.CDLL(str(lib))
+    for name, (args, res) in _SIGNATURES.items():
+        fn = getattr(dll, name)
+        fn.argtypes, fn.restype = args, res
+    return dll
+
+
+def _user_cache_dir():
+    """fastssc's directory in the platform's per-user cache."""
+    if sys.platform == "darwin":
+        return Path.home() / "Library" / "Caches" / "fastssc"
+    return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "fastssc"

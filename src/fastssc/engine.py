@@ -6,18 +6,21 @@ instructions read and write whole stage buffers.  Resource limits (P) never
 change values here; they only matter to the latency estimate and the
 optional debug check on modeled memory accesses.
 
-Fixed-point calls run in a compiled interpreter, `_cengine.c`, when it
-builds.  The first such call in a process compiles it with the system C
-compiler (`cc -O3`, no -march=native) into the per-user cache directory
-(~/.cache/fastssc, or $XDG_CACHE_HOME/fastssc; ~/Library/Caches/fastssc on
-macOS), keyed by the source, the flags and the machine type, and loads it
-through ctypes; later processes load the cached file.  It decodes frame by
-frame in one workspace of 2N values and N decisions, with exactly the
-steps below.  With no compiler, or a failed build, fixed point runs on the
-numpy steps, with the same results, and the process warns once.  Float
-calls always run on numpy: their bit-exactness rests on numpy's pairwise
-REP summation order and BLAS's ML4 `matmul` order, where integer sums are
-exact in any order.
+Fixed-point calls run in the compiled interpreter of `_cengine.c` when the
+library loads (`_clib.library()`: built on first use, at the baseline ISA
+level and, where its `cpu_supports_x86_64_v3()` probe passes, with
+-march=x86-64-v3; see `_clib`).  It has exactly the steps below, in two
+instances per value type.  The wide one decodes L = 32 / itemsize frames at
+once (32 for int8), one per lane: each stage buffer holds its 2^s values
+lane-innermost, as (2^s, L), and the decisions are (N, L), so F, G, COMBINE
+and the hard decisions are flat loops over 2^s*L values, and REP, SPC and
+ML4 reduce lane by lane with the one-frame rules.  A batch runs its whole
+groups of L frames there, transposed in and out in tiles, and the rest one
+frame at a time on the L = 1 instance, in a workspace of L*(2N values + N
+decisions).  With no library, fixed point runs on the numpy steps, with
+the same results, and the process warns once.  Float calls always run on
+numpy: their bit-exactness rests on numpy's pairwise REP summation order
+and BLAS's ML4 `matmul` order, where integer sums are exact in any order.
 
 The numpy steps carry a leading frame axis on all buffers, so one pass
 decodes a batch.  The first call for a given batch size B and saturation
@@ -61,20 +64,11 @@ up to W=15, int32 up to W=31), so G forms b +- a without widening and then
 clips in place.
 """
 
-import ctypes
-import os
-import platform
-import shutil
-import subprocess
-import sys
-import tempfile
-import warnings
-import zlib
-from functools import cache, partial
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 
+from . import _clib
 from .compiler import OPS, Opcode
 # The steps inline the kernels' formulas; the kernel names stay importable
 # here for tracers that wrap this module's kernel names.
@@ -127,7 +121,7 @@ def execute(program, channel_llrs, quant=None, debug=False):
     if debug:
         for pc, ins in enumerate(program.instructions):
             _check_access(ins, program.p, pc)
-    lib = None if sat is None else _c_library()
+    lib = None if sat is None else _clib.library()
     if lib is not None:
         out = _run_c(lib, program, x, sat)
     else:
@@ -230,68 +224,13 @@ def _dtype(sat):
     return np.dtype(np.float64) if sat is None else np.min_scalar_type(-2 * sat)
 
 
-# No -march=native: the cache directory may be shared with another CPU.
-_CFLAGS = ("-std=c99", "-O3", "-shared", "-fPIC")
-
-
-@cache
-def _c_library(cc="cc", cache_dir=None):
-    """The compiled fixed-point interpreter, `_cengine.c` through ctypes, or
-    None, with a UserWarning that names the reason, when it cannot be built
-    or loaded.
-
-    It is built on first use into the per-user cache directory, under a name
-    keyed by the source, the flags and the machine type.  The compiler
-    writes a temporary file that is then renamed into place, so concurrent
-    processes never load a partial library.  cc and cache_dir let tests
-    build with another compiler into another directory.
-    """
-    source = Path(__file__).with_name("_cengine.c")
-    try:
-        # crc32, not hashlib: importing hashlib alone costs ~3.5 MB of RSS
-        key = zlib.crc32(b" ".join([source.read_bytes(), platform.machine().encode(),
-                                    *map(str.encode, _CFLAGS)]))
-        lib = Path(cache_dir or _user_cache_dir()) / f"_cengine-{key:08x}.so"
-        if not lib.exists():
-            compiler = shutil.which(cc)
-            if compiler is None:
-                raise OSError(f"no C compiler {cc!r} on PATH")
-            lib.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(".so", ".build-", lib.parent)
-            os.close(fd)
-            try:
-                subprocess.run([compiler, *_CFLAGS, "-o", tmp, str(source)],
-                               check=True, capture_output=True, timeout=600)
-                os.replace(tmp, lib)
-            finally:
-                Path(tmp).unlink(missing_ok=True)
-        dll = ctypes.CDLL(str(lib))
-    except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
-        # not a RuntimeWarning: where those are errors, the fallback must still run
-        warnings.warn(f"fastssc: the compiled fixed-point interpreter is unavailable ({exc}); "
-                      "fixed point runs on the slower numpy steps", UserWarning, stacklevel=3)
-        return None
-    for bits in (8, 16, 32):
-        fn = getattr(dll, f"decode_int{bits}_t")
-        fn.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 4
-        fn.restype = None
-    return dll
-
-
-def _user_cache_dir():
-    """fastssc's directory in the platform's per-user cache."""
-    if sys.platform == "darwin":
-        return Path.home() / "Library" / "Caches" / "fastssc"
-    return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "fastssc"
-
-
 def _run_c(lib, program, x, sat):
     """Decode (B, N) integer frames in the compiled interpreter."""
     steps, rev = program.table, np.asarray(bit_reverse_permutation(program.n_bits), np.int64)
     dtype = _dtype(sat)
     x = np.ascontiguousarray(x, np.int32)  # in the channel range, so the cast is exact
     out = np.empty(x.shape, np.uint8)
-    work = np.empty(program.N * (2 * dtype.itemsize + 1), np.uint8)
+    work = np.empty(lib.lanes(dtype.itemsize) * program.N * (2 * dtype.itemsize + 1), np.uint8)
     getattr(lib, f"decode_{dtype.name}_t")(
         steps.ctypes.data, len(steps), program.n_bits, sat, len(x),
         x.ctypes.data, rev.ctypes.data, out.ctypes.data, work.ctypes.data)

@@ -21,6 +21,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import _clib
+
 
 class MaskFileError(ValueError):
     """Raised when a code spec file cannot be parsed."""
@@ -322,6 +324,8 @@ def encode_systematic(a, spec, out=None):
     bit-reversed index space; validity rests on the frozen set being
     downward closed under the binary-submask order, which the reliability
     construction guarantees and which is checked (ValueError otherwise).
+    The C library, when it loads, runs the same steps row by row in one
+    pass, with the same result.
 
     Parameters
     ----------
@@ -346,6 +350,12 @@ def encode_systematic(a, spec, out=None):
         out = np.empty(shape, dtype=np.uint8)
     elif out.shape != shape or out.dtype != np.uint8 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous uint8 array of shape {shape}")
+    lib = _clib.library()
+    if lib is not None:
+        a, info = np.ascontiguousarray(a), np.asarray(spec.info_positions, np.int64)
+        lib.encode(a.ctypes.data, spec.k, info.ctypes.data, spec._keep.ctypes.data,
+                   spec.N, out.size // spec.N, out.ctypes.data)
+        return out
     if spec.k:
         # the indices are in range; mode="raise" would fill a buffered copy of out
         np.take(a, spec._gather, axis=-1, out=out, mode="clip")

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _clib
+
 
 @dataclass(frozen=True)
 class QuantScheme:
@@ -100,8 +102,10 @@ def quantize_channel(llr, scheme, out=None):
     scheme : QuantScheme
         Target format.
     out : ndarray of float64, optional
-        Scratch of llr's shape for the scaled values; it may be llr itself,
-        whose values are then consumed.  By default a fresh array is used.
+        Scratch of llr's shape for the numpy steps' scaled values; it may be
+        llr itself, whose values are then consumed.  By default a fresh
+        array is used.  The compiled pass, which runs whenever the C library
+        loads, needs no scratch and leaves it as it is.
 
     Returns
     -------
@@ -109,6 +113,13 @@ def quantize_channel(llr, scheme, out=None):
         int32 value(s) in [-channel_limit, +channel_limit].
     """
     x = np.asarray(llr, dtype=np.float64)
+    lib = _clib.library()
+    if lib is not None:
+        q = np.empty(x.shape, np.int32)
+        x = np.ascontiguousarray(x)  # 1-d when x is 0-d
+        if lib.quantize(x.ctypes.data, q.ctypes.data, q.size, scheme.scale, scheme.channel_limit):
+            raise ValueError("channel LLRs must not be NaN")
+        return int(q) if np.isscalar(llr) or np.ndim(llr) == 0 else q
     s = np.multiply(x, scheme.scale, out=np.empty(x.shape) if out is None else out)
     if np.isnan(s.min(initial=0.0)):
         raise ValueError("channel LLRs must not be NaN")

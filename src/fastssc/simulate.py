@@ -16,6 +16,7 @@ from itertools import starmap
 
 import numpy as np
 
+from . import _clib
 from .compiler import NodeRuleSet, build_tree, compile_tree, estimate_latency
 from .engine import execute
 from .polar import encode_systematic
@@ -43,20 +44,29 @@ def awgn_bpsk_llr(x, sigma, rng, out=None):
 
     out, a C-contiguous float64 array of x's shape, receives the LLRs when
     given; they are formed in place with the same rounding, so the values do
-    not depend on it.
+    not depend on it.  numpy draws the noise; the arithmetic after it runs in
+    one pass of the C library when it loads, again with the same rounding.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    # ebno_to_sigma2's rule: a finite, positive sigma with a finite LLR scale 2/sigma^2
+    sigma2 = sigma * sigma
+    if not 0 < sigma < np.inf or not 0 < sigma2 or not 2.0 / sigma2 < np.inf:
+        raise ValueError(f"sigma must be finite and positive, with a finite 2/sigma^2; "
+                         f"got {sigma}")
     x = np.asarray(x)
     if out is None:
         out = np.empty(x.shape)
     elif out.shape != x.shape:
         raise ValueError(f"out must have shape {x.shape}, got {out.shape}")
     y = rng.standard_normal(out=out)
+    lib = _clib.library()
+    if lib is not None:
+        bits = np.ascontiguousarray(x.view(np.int8) if x.dtype == np.uint8 else x, np.int8)
+        lib.channel(y.ctypes.data, bits.ctypes.data, y.size, sigma, sigma2)
+        return y
     y *= sigma
     y += 1 - 2 * np.asarray(x, dtype=np.int8)  # +-1 as int8, exact in float64
     y *= 2.0
-    y /= sigma * sigma
+    y /= sigma2
     return y
 
 

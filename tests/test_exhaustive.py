@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 
-from fastssc import engine
+from fastssc import _clib
 from fastssc.compiler import NodeRuleSet, build_tree, compile_tree
 from fastssc.engine import execute
 from fastssc.polar import CodeSpec, encode_polar, encode_systematic
@@ -64,7 +64,7 @@ def test_every_downward_closed_code_up_to_16():
                 # fixed point on the compiled interpreter and on the numpy path
                 clean_q = quantize_channel(clean, q)
                 assert np.array_equal(execute(prog, clean_q, quant=q), x), mask
-                with mock.patch.object(engine, "_c_library", lambda: None):
+                with mock.patch.object(_clib, "library", lambda: None):
                     assert np.array_equal(execute(prog, clean_q, quant=q), x), mask
 
 

@@ -10,7 +10,7 @@ engine was relinked over planned buffers.
 import numpy as np
 import pytest
 
-from fastssc import engine
+from fastssc import _clib
 from fastssc.compiler import build_tree, compile_tree
 from fastssc.engine import execute
 from fastssc.polar import CodeSpec, construct_frozen_set
@@ -32,7 +32,7 @@ SIM_CSV = {
 
 
 @pytest.mark.parametrize("quant", ["float", "7:5:1"])
-def test_simulation_csv_matches_recorded(quant, monkeypatch):
+def test_simulation_csv_matches_recorded(quant, builds, monkeypatch):
     spec = construct_frozen_set(8, 128, ebno_to_sigma2(3.0, 0.5))
     config = SimConfig(
         spec=spec,
@@ -45,8 +45,9 @@ def test_simulation_csv_matches_recorded(quant, monkeypatch):
     )
     csv = results_to_csv(run_simulation(config), include_throughput=False)
     assert csv == SIM_CSV[quant]
-    if config.quant is not None:  # again on the numpy path, without the compiled interpreter
-        monkeypatch.setattr(engine, "_c_library", lambda: None)
+    # again on each compiled build, and on the numpy steps alone
+    for lib in [*builds.values(), None]:
+        monkeypatch.setattr(_clib, "library", lambda: lib)
         assert results_to_csv(run_simulation(config), include_throughput=False) == csv
 
 
@@ -127,7 +128,7 @@ def test_zero_llr_decisions_match_recorded(name, monkeypatch):
     want_float, want_fixed = ZERO_TIE_OUTPUTS[name]
     assert packed_hex(execute(prog, x)) == want_float
     assert packed_hex(execute(prog, xi, quant=QuantScheme(6, 4, 1))) == want_fixed
-    monkeypatch.setattr(engine, "_c_library", lambda: None)  # the numpy path
+    monkeypatch.setattr(_clib, "library", lambda: None)  # the numpy path
     assert packed_hex(execute(prog, xi, quant=QuantScheme(6, 4, 1))) == want_fixed
     # one frame at a time gives the same decisions as the batch
     assert packed_hex([execute(prog, row) for row in x[:4]]) == want_float[:4]

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from fastssc import engine, simulate
+from fastssc import _clib, engine, simulate
 from fastssc.compiler import build_tree, compile_tree, estimate_latency
 from fastssc.engine import execute
 from fastssc.polar import CodeSpec, construct_frozen_set, encode_systematic
@@ -68,6 +68,19 @@ def test_awgn_llr_statistics():
 
     with pytest.raises(ValueError):
         awgn_bpsk_llr(x, 0.0, rng)
+
+
+@pytest.mark.parametrize("sigma", [np.inf, 1e-200])  # NaN LLRs; sigma^2 underflows to 0
+def test_awgn_rejects_sigma_without_finite_llrs(sigma, builds, monkeypatch):
+    """On the numpy steps and on each compiled build, before anything is drawn."""
+    x = np.zeros(8, np.uint8)
+    for lib in [None, *builds.values()]:
+        monkeypatch.setattr(_clib, "library", lambda: lib)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="finite"):
+            awgn_bpsk_llr(x, sigma, rng)
+        assert rng.bit_generator.state == state
 
 
 def test_awgn_seeded_reproducible():

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from fastssc import engine
+from fastssc import _clib, engine
 from fastssc.compiler import Opcode, build_tree, compile_tree
 from fastssc.engine import execute
 from fastssc.polar import construct_frozen_set
@@ -50,7 +50,7 @@ def decode_all(spec, x, q):
 @pytest.mark.parametrize("scheme", [None, "6:4:0", "8:8:0", "16:12:2", "31:31:0"])
 @pytest.mark.parametrize("n", range(9, 16))
 def test_blocked_f_equals_whole_batch_f(n, scheme, monkeypatch):
-    monkeypatch.setattr(engine, "_c_library", lambda: None)  # F blocks are numpy's
+    monkeypatch.setattr(_clib, "library", lambda: None)  # F blocks are numpy's
     q = parse_quant(scheme) if scheme else None
     spec = construct_frozen_set(n, (1 << n) * 3 // 4, 0.5)
     x = frames(n, q)
