@@ -76,7 +76,10 @@ def variant(level, cc="cc", cache_dir=None):
     RuntimeError or SubprocessError when it cannot be built or loaded.
 
     The compiler writes a temporary file that is then renamed into place,
-    so concurrent processes never load a partial library.
+    so concurrent processes never load a partial library.  A compile that
+    fails leaves a record keyed by the library's name and the compiler's
+    resolved path and mtime; later calls raise its reason without running
+    that compiler again, and a changed compiler tries again.
     """
     source = Path(__file__).with_name("_cengine.c")
     flags = _CFLAGS + LEVELS[level]
@@ -88,6 +91,11 @@ def variant(level, cc="cc", cache_dir=None):
         compiler = shutil.which(cc)
         if compiler is None:
             raise OSError(f"no C compiler {cc!r} on PATH")
+        real = os.path.realpath(compiler)
+        stamp = zlib.crc32(f"{real} {os.stat(real).st_mtime_ns}".encode())
+        failed = lib.with_name(f"{lib.stem}-{stamp:08x}.failed")
+        if failed.exists():
+            raise RuntimeError(f"{failed.read_text()} (recorded in {failed})")
         lib.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(".so", ".build-", lib.parent)
         os.close(fd)
@@ -95,6 +103,11 @@ def variant(level, cc="cc", cache_dir=None):
             subprocess.run([compiler, *flags, "-o", tmp, str(source)],
                            check=True, capture_output=True, timeout=600)
             os.replace(tmp, lib)
+        except subprocess.CalledProcessError as exc:
+            if exc.returncode > 0:  # an exit, not a kill that may not recur
+                Path(tmp).write_text(str(exc))
+                os.replace(tmp, failed)
+            raise
         finally:
             Path(tmp).unlink(missing_ok=True)
     dll = ctypes.CDLL(str(lib))

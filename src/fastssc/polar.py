@@ -11,11 +11,11 @@ inverse over GF(2).
 
 Systematic codewords carry the information bits at the unfrozen positions of
 the stored mask, ascending, so a decoded codeword estimate yields the source
-estimate by plain gathering.
+estimate by plain gathering.  The compiled library (`_clib`), when it loads,
+encodes them; the numpy steps here are its plain reference and fallback.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -80,41 +80,15 @@ def encode_polar(u):
     return _butterfly(x)
 
 
-# Stage h < 8 of the butterfly within one little-endian uint64 word: byte i
-# of each 2h-byte block takes byte i + h, which the shift brings down.
-_IN_WORD = tuple(
-    (np.uint64(8 * h), np.uint64(low))
-    for h, low in ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0x00000000FFFFFFFF))
-)
-
-# The in-word stages run over chunks of this many words (256 KB), so their
-# shifted and masked temporary stays small and in cache.
-_CHUNK_WORDS = 1 << 15
-
-
 def _butterfly(x):
     """The butterfly transform in place over the last axis of a C-contiguous uint8 array.
 
-    Rows of N >= 8 bytes run as uint64 words on little-endian hosts: the three
-    in-word stages shift and mask, chunk by chunk, the others XOR whole words.
-    XOR carries nothing between bytes, so the result is the byte-wise
-    transform exactly.
+    Stage h XORs the upper half of every 2h-wide block into its lower half.
     """
     n = x.shape[-1]
-    rows = x.reshape(-1, n)
-    if n >= 8 and sys.byteorder == "little":
-        rows = rows.view(np.uint64)
-        words = rows.reshape(-1)
-        tmp = np.empty(min(words.size, _CHUNK_WORDS), np.uint64)
-        for i in range(0, words.size, _CHUNK_WORDS):
-            w = words[i : i + _CHUNK_WORDS]
-            t = tmp[: w.size]
-            for shift, low in _IN_WORD:
-                w ^= np.bitwise_and(np.right_shift(w, shift, out=t), low, out=t)
-        n //= 8
     h = 1
     while h < n:
-        v = rows.reshape(-1, n // (2 * h), 2, h)
+        v = x.reshape(-1, n // (2 * h), 2, h)
         # narrow halves column by column: an inner loop of 2 or 4 is slow
         for j in range(h) if h < 8 else (slice(None),):
             v[:, :, 0, j] ^= v[:, :, 1, j]
@@ -180,14 +154,6 @@ class CodeSpec:
         m = (~self.frozen_mask).astype(np.uint8)
         m.setflags(write=False)
         return m
-
-    @cached_property
-    def _gather(self):
-        """Source index of every stored-order position; frozen ones read bit 0."""
-        g = np.zeros(self.N, dtype=np.intp)
-        g[self.info_positions] = np.arange(self.k)
-        g.setflags(write=False)
-        return g
 
     @cached_property
     def _downward_closed(self):
@@ -318,7 +284,7 @@ def encode_systematic(a, spec, out=None):
     """Systematically encode information bits, batched over leading axes.
 
     The bits land at the unfrozen positions of the codeword, ascending, in
-    source order.  Double-transform construction: gather the bits into a
+    source order.  Double-transform construction: place the bits in a
     codeword-shaped vector with zeros at the frozen positions, transform,
     zero the frozen positions, transform again.  Everything stays in the one
     bit-reversed index space; validity rests on the frozen set being
@@ -356,12 +322,8 @@ def encode_systematic(a, spec, out=None):
         lib.encode(a.ctypes.data, spec.k, info.ctypes.data, spec._keep.ctypes.data,
                    spec.N, out.size // spec.N, out.ctypes.data)
         return out
-    if spec.k:
-        # the indices are in range; mode="raise" would fill a buffered copy of out
-        np.take(a, spec._gather, axis=-1, out=out, mode="clip")
-        out *= spec._keep
-    else:
-        out.fill(0)
+    out.fill(0)
+    out[..., spec.info_positions] = a
     _butterfly(out)
     out *= spec._keep
     return _butterfly(out)

@@ -83,17 +83,14 @@ def check_channel_llrs(llrs, quant):
         raise ValueError("channel LLRs must be finite (found NaN or infinity)")
 
 
-# quantize_channel adds its +-0.5 in chunks of this many values, through one
-# 256 KB temporary
-_CHUNK = 1 << 15
-
-
-def quantize_channel(llr, scheme, out=None):
+def quantize_channel(llr, scheme):
     """Map real channel LLRs to saturated fixed-point integers.
 
     Values are scaled by 2**F, rounded to the nearest integer with ties away
     from zero, and clamped to the symmetric channel range; +-inf saturate.
     Quantization is monotone: x <= y implies quantize(x) <= quantize(y).
+    The compiled library (`_clib`) does this in one pass whenever it loads;
+    the numpy steps below are its plain reference and the fallback.
 
     Parameters
     ----------
@@ -101,11 +98,6 @@ def quantize_channel(llr, scheme, out=None):
         Channel LLR value(s), not NaN.
     scheme : QuantScheme
         Target format.
-    out : ndarray of float64, optional
-        Scratch of llr's shape for the numpy steps' scaled values; it may be
-        llr itself, whose values are then consumed.  By default a fresh
-        array is used.  The compiled pass, which runs whenever the C library
-        loads, needs no scratch and leaves it as it is.
 
     Returns
     -------
@@ -119,21 +111,13 @@ def quantize_channel(llr, scheme, out=None):
         x = np.ascontiguousarray(x)  # 1-d when x is 0-d
         if lib.quantize(x.ctypes.data, q.ctypes.data, q.size, scheme.scale, scheme.channel_limit):
             raise ValueError("channel LLRs must not be NaN")
-        return int(q) if np.isscalar(llr) or np.ndim(llr) == 0 else q
-    s = np.multiply(x, scheme.scale, out=np.empty(x.shape) if out is None else out)
-    if np.isnan(s.min(initial=0.0)):
-        raise ValueError("channel LLRs must not be NaN")
-    lim = scheme.channel_limit
-    # clip first, then round half away from zero (np.round would round ties
-    # to even); the int cast truncates.  Same values as rounding
-    # sign(s)*floor(|s| + 0.5) first and clipping after.
-    flat = s.reshape(-1)  # a view unless out is not contiguous
-    np.clip(flat, -lim, lim, out=flat)
-    half = np.empty(min(flat.size, _CHUNK))
-    for i in range(0, flat.size, _CHUNK):
-        c = flat[i : i + _CHUNK]
-        c += np.copysign(0.5, c, out=half[: c.size])
-    q = flat.astype(np.int32).reshape(s.shape)
-    if np.isscalar(llr) or np.ndim(llr) == 0:
-        return int(q)
-    return q
+    else:
+        s = x * scheme.scale
+        if np.isnan(np.min(s, initial=0.0)):
+            raise ValueError("channel LLRs must not be NaN")
+        # clip first, then round half away from zero (np.round would round
+        # ties to even); the int cast truncates.  Same values as rounding
+        # sign(s)*floor(|s| + 0.5) first and clipping after.
+        s = np.clip(s, -scheme.channel_limit, scheme.channel_limit)
+        q = (s + np.copysign(0.5, s)).astype(np.int32)
+    return int(q) if np.ndim(llr) == 0 else q

@@ -210,9 +210,10 @@ def _sim_batch(program, quant, work, entropy, sigma, size):
     """Decode one batch of random frames; returns (size, bit errors, frame errors).
 
     The codewords, the LLRs and the wrong decisions are formed in the first
-    `size` rows of the workspace; the drawn bits and the decisions are fresh
-    arrays.  Systematic codewords carry the bits at the unfrozen positions,
-    so a decision there is wrong where it differs from the codeword.
+    `size` rows of the workspace; the drawn bits, the quantized LLRs and the
+    decisions are fresh arrays.  Systematic codewords carry the bits at the
+    unfrozen positions, so a decision there is wrong where it differs from
+    the codeword.
     """
     spec = program.spec
     codewords, llr, wrong = (w[:size] for w in work)
@@ -221,7 +222,7 @@ def _sim_batch(program, quant, work, entropy, sigma, size):
     x = encode_systematic(a, spec, out=codewords)
     llr = awgn_bpsk_llr(x, sigma, rng, out=llr)
     if quant is not None:
-        llr = quantize_channel(llr, quant, out=llr)
+        llr = quantize_channel(llr, quant)
     beta = execute(program, llr, quant)
     np.bitwise_xor(beta, x, out=wrong)
     wrong &= spec._keep

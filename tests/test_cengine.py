@@ -163,21 +163,27 @@ def test_c_path_is_active_when_a_compiler_is_on_path(tmp_path):
 def test_failed_v3_build_runs_the_baseline(builds, tmp_path):
     if "x86-64-v3" not in builds:
         pytest.skip("this CPU does not run x86-64-v3 code")
-    cc = tmp_path / "cc"
+    cc, log = tmp_path / "cc", tmp_path / "cc.log"
     real = shutil.which("cc")
     cc.write_text(f"#!{sys.executable}\nimport os, sys\n"
+                  f"open({str(log)!r}, 'a').write(' '.join(sys.argv) + '\\n')\n"
                   "if '-march=x86-64-v3' in sys.argv:\n    sys.exit(1)\n"
                   f"os.execv({real!r}, [{real!r}] + sys.argv[1:])\n")
     cc.chmod(0o755)
-    with pytest.warns(UserWarning, match="the x86-64-v3 build is unavailable"):
-        lib = _clib.library.__wrapped__(str(cc), tmp_path / "cache")
-    assert "baseline" in lib._name
+    # the second call loads the cached baseline build and the recorded v3 failure
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="the x86-64-v3 build is unavailable"):
+            lib = _clib.library.__wrapped__(str(cc), tmp_path / "cache")
+        assert "baseline" in lib._name
+    assert ["-march=x86-64-v3" in call for call in log.read_text().splitlines()] == [False, True]
 
 
 def failing_compiler(path):
-    """A compiler that writes part of its output, then fails."""
+    """A compiler that logs its call to path.log, writes part of its output,
+    then fails."""
     path.write_text(
         f"#!{sys.executable}\nimport sys\n"
+        f"open({str(path) + '.log'!r}, 'a').write(' '.join(sys.argv) + '\\n')\n"
         "open(sys.argv[sys.argv.index('-o') + 1], 'wb').write(b'partial')\nsys.exit(1)\n"
     )
     path.chmod(0o755)
@@ -202,7 +208,29 @@ def test_failed_build_falls_back_to_numpy(compiler, tmp_path, monkeypatch):
     monkeypatch.setattr(_clib, "library", build)
     with pytest.warns(UserWarning, match="fixed point runs on the slower numpy steps"):
         assert np.array_equal(execute(prog, x, quant=q), want)
-    assert not cache.exists() or not any(cache.iterdir())  # no partial library
+    # no partial library: a failed compile leaves only its record
+    assert [p.suffix for p in cache.glob("*")] == [".failed"] * (compiler == "failing")
+
+
+def test_failed_build_is_recorded(tmp_path):
+    """A compiler that fails runs once: later calls on the same cache raise
+    the recorded reason, with the same warning; a changed compiler tries again."""
+    cc = failing_compiler(tmp_path / "cc")
+    build = partial(_clib.library.__wrapped__, str(cc), tmp_path / "cache")
+
+    def calls():
+        return len((tmp_path / "cc.log").read_text().splitlines())
+
+    with pytest.warns(UserWarning, match="exit status 1"):
+        assert build() is None
+    with pytest.warns(UserWarning, match="exit status 1.*recorded in"):
+        assert build() is None
+    assert calls() == 1
+    mtime = cc.stat().st_mtime_ns + 10**9  # a new compiler at the same path
+    os.utime(cc, ns=(mtime, mtime))
+    with pytest.warns(UserWarning, match="exit status 1"):
+        assert build() is None
+    assert calls() == 2
 
 
 def test_fallback_warns_once_per_process(tmp_path):
