@@ -6,7 +6,6 @@ Exit codes: 0 on success, 1 for usage problems, 2 for bad input data
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -120,15 +119,15 @@ def _load_program(path):
 
 
 def _program_with_code(args):
-    """The --program file, carrying the code of --mask or --n-bits when one is given."""
+    """The --program file; a code given by --mask or --n-bits must be the one it decodes."""
     program = _load_program(args.program)
     if args.mask is None and args.n_bits is None:
         return program
     spec = _spec_from_args(args)
-    if (spec.N, spec.k) != (program.N, program.k):
-        raise ValueError(f"mask ({spec.N},{spec.k}) does not match "
+    if not np.array_equal(spec.frozen_mask, program.spec.frozen_mask):
+        raise ValueError(f"mask ({spec.N},{spec.k}) is not the frozen set of "
                          f"program ({program.N},{program.k})")
-    return replace(program, spec=spec)
+    return program
 
 
 def _read_bits(path, width):
@@ -242,13 +241,10 @@ def _cmd_decode(args):
         if args.program is None:
             raise _UsageError("--algo fast-ssc requires --program")
         program = _program_with_code(args)
-        spec = program.spec
         llr = _read_llrs(args.infile, program.N, args.quant)
         beta = execute(program, llr, args.quant)
     if args.info:
-        if spec is None:
-            raise _UsageError("--info requires the code mask")
-        beta = extract_info(beta, spec)
+        beta = extract_info(beta, spec if args.algo == "sc" else program.spec)
     _write_text(args.outfile, _bits_to_text(beta))
 
 
@@ -281,8 +277,6 @@ def _cmd_simulate(args):
 def _cmd_bench(args):
     if args.program is not None:
         program = _program_with_code(args)
-        if program.spec is None:
-            raise _UsageError("bench needs the code mask to generate frames")
     else:
         spec = _spec_from_args(args)
         program = compile_tree(build_tree(spec, args.p, args.nodes))

@@ -23,6 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .polar import CodeSpec, bit_reverse_permutation
+
 
 class CompileError(ValueError):
     """Raised when a tree has no expressible instruction sequence."""
@@ -40,6 +42,10 @@ class ProgramFormatError(ValueError):
         super().__init__(loc + message)
         self.line = line
         self.pc = pc
+
+
+class _HeaderError(ProgramFormatError):
+    """A header value the instructions contradict; the text form names the header line."""
 
 
 class Opcode(IntEnum):
@@ -76,6 +82,8 @@ class OpInfo:
     rate-0-left form, parity a right child decided by Wagner SPC.  A closer
     needs node stage >= min_stage (== when fixed_stage).  cycles(2^s, P) is
     the modeled cost; phase_error overrides the walk's phase message.
+    info(2^s) is the (lo, hi) runs of the node's leaves that the opcode
+    decides as information bits; a leaf no instruction decides is frozen.
     """
 
     name: str
@@ -87,6 +95,7 @@ class OpInfo:
     min_stage: int = 0
     fixed_stage: bool = False
     phase_error: str = None
+    info: object = lambda size: ()
 
     def reads(self, size):
         """Modeled soft reads: both halves for a descent, none for COMBINE(-0R)."""
@@ -112,7 +121,7 @@ def _parity_cycles(size, p):
 
 
 # The instruction set, in Opcode order: the one definition of each opcode's
-# name, walk rules and modeled costs.
+# name, walk rules, modeled costs and information leaves.
 OPS = {
     Opcode.F: OpInfo("F", False, _START, _descent_cycles,
                      phase_error="F is only valid before the left child"),
@@ -121,17 +130,21 @@ OPS = {
     Opcode.COMBINE_0R: OpInfo("COMBINE-0R", None, _AFTER_RIGHT, _half_cycles, zero_left=True),
     Opcode.G_0R: OpInfo("G-0R", True, _START, _descent_cycles, zero_left=True,
                         phase_error="G-0R is only valid before any child"),
-    Opcode.P_R1: OpInfo("P-R1", None, _AFTER_LEFT, _half_cycles, min_stage=1),
-    Opcode.P_RSPC: OpInfo("P-RSPC", None, _AFTER_LEFT, _parity_cycles, parity=True, min_stage=2),
-    Opcode.P_01: OpInfo("P-01", None, _START, _half_cycles, zero_left=True, min_stage=1),
+    Opcode.P_R1: OpInfo("P-R1", None, _AFTER_LEFT, _half_cycles, min_stage=1,
+                        info=lambda size: ((size // 2, size),)),
+    Opcode.P_RSPC: OpInfo("P-RSPC", None, _AFTER_LEFT, _parity_cycles, parity=True, min_stage=2,
+                          info=lambda size: ((size // 2 + 1, size),)),
+    Opcode.P_01: OpInfo("P-01", None, _START, _half_cycles, zero_left=True, min_stage=1,
+                        info=lambda size: ((size // 2, size),)),
     Opcode.P_0SPC: OpInfo("P-0SPC", None, _START, _parity_cycles, zero_left=True, parity=True,
-                          min_stage=2),
-    Opcode.ML: OpInfo("ML", None, _START, lambda size, p: 1, min_stage=2, fixed_stage=True),
+                          min_stage=2, info=lambda size: ((size // 2 + 1, size),)),
+    Opcode.ML: OpInfo("ML", None, _START, lambda size, p: 1, min_stage=2, fixed_stage=True,
+                      info=lambda size: ((1, 2), (3, 4))),
     Opcode.REP: OpInfo("REP", None, _START, lambda size, p: 1 if size <= 2 * p else size // p,
-                       min_stage=1),
+                       min_stage=1, info=lambda size: ((size - 1, size),)),
     Opcode.REP_SPC: OpInfo("REP-SPC", None, _START, lambda size, p: 1, parity=True, min_stage=3,
-                           fixed_stage=True),
-    Opcode.R1: OpInfo("R1", None, _START, _half_cycles),
+                           fixed_stage=True, info=lambda size: ((3, 4), (5, 8))),
+    Opcode.R1: OpInfo("R1", None, _START, _half_cycles, info=lambda size: ((0, size),)),
 }
 OP_NAMES = {op: row.name for op, row in OPS.items()}
 OP_BY_NAME = {v: k for k, v in OP_NAMES.items()}
@@ -273,7 +286,7 @@ def compile_tree(tree):
     frozen sets put an all-information node on a left branch, or an
     all-frozen node on a right branch, have no encoding in this instruction
     set and are rejected; reliability-ordered constructions never produce
-    them.
+    them.  The program's derived spec has tree.spec's mask.
     """
     ins = []
 
@@ -331,7 +344,6 @@ def compile_tree(tree):
         k=tree.spec.k,
         p=tree.p,
         instructions=tuple(ins),
-        spec=tree.spec,
     )
 
 
@@ -339,15 +351,16 @@ def compile_tree(tree):
 class Program:
     """A compiled decoder: instruction list plus the run parameters.
 
-    Structural validity (the depth-first stage walk) is checked on
-    construction, so a Program that exists is executable.
+    Structural validity (the depth-first stage walk, and a header k equal to
+    the information bits the instructions decide) is checked on
+    construction, so a Program that exists is executable.  Its code, `spec`,
+    is derived from the instructions, not given.
     """
 
     n_bits: int
     k: int
     p: int
     instructions: tuple
-    spec: object = None
     # execution plan cache owned by engine.execute; not part of the value
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -377,10 +390,23 @@ class Program:
         table.setflags(write=False)
         return table
 
+    @cached_property
+    def spec(self):
+        """The CodeSpec whose information bits are the OPS info leaves of table's rows.
+
+        Built on first use; ValueError where leaf 0 is information (no compiled tree).
+        """
+        natural = np.ones(self.N, bool)
+        for op, stage, start in self.table.tolist():
+            for lo, hi in OPS[op].info(1 << stage):
+                natural[start + lo : start + hi] = False
+        return CodeSpec(natural[bit_reverse_permutation(self.n_bits)])
+
     def __getstate__(self):
         state = dict(self.__dict__)
         del state["_plans"]
         state.pop("table", None)
+        state.pop("spec", None)
         return state
 
     def __setstate__(self, state):
@@ -395,7 +421,9 @@ def walk_stages(ops_sides, n_bits, k, declared=None):
     instructions must match the open node's stage, side, and phase.  Each
     opcode's side, phase and stage rules are its row of OPS.  When
     `declared` stages are supplied they are checked against the derived
-    ones.  Raises ProgramFormatError with the failing program counter.
+    ones, and k against the information leaves the closers decide (OPS
+    info).  Raises ProgramFormatError with the failing program counter, or
+    a _HeaderError, with none, when k disagrees.
     The node of an instruction, the one it opens or closes, is a (stage,
     start) pair: it owns leaves [start, start + 2^stage).
     """
@@ -411,6 +439,7 @@ def walk_stages(ops_sides, n_bits, k, declared=None):
     if k == 0:
         err("an all-frozen code compiles to an empty program", 0)
     stack = [[n_bits, False, _START, False, 0]]  # stage, is_right, phase, zero_left, start
+    info = 0
     for pc, (op, right) in enumerate(ops_sides):
         if not stack:
             err("instruction after the root completed", pc)
@@ -438,12 +467,16 @@ def walk_stages(ops_sides, n_bits, k, declared=None):
             err(f"{row.name} needs stage >= {row.min_stage}", pc)
         if right != is_right:
             err(f"{row.name} side flag does not match the open node", pc)
+        for lo, hi in row.info(1 << stage):
+            info += hi - lo
         nodes.append((stage, start))
         stack.pop()
         if stack:
             stack[-1][2] = _AFTER_RIGHT if is_right else _AFTER_LEFT
     if stack:
         raise ProgramFormatError("program ends with unfinished nodes", pc=len(ops_sides) - 1)
+    if info != k:
+        raise _HeaderError(f"header k={k}, but the instructions decide {info} information bits")
     if declared is not None:
         for pc, (have, (want, _)) in enumerate(zip(declared, nodes)):
             if have != want:
@@ -544,7 +577,7 @@ def parse_program(text):
             m = _HEADER_RE.match(line)
             if not m:
                 raise ProgramFormatError("expected header 'N=<N> k=<k> P=<P>'", line=lineno)
-            header = tuple(int(g) for g in m.groups())
+            header, header_line = tuple(int(g) for g in m.groups()), lineno
             continue
         m = _INSTR_RE.match(line)
         if not m:
@@ -568,6 +601,8 @@ def parse_program(text):
     except ProgramFormatError as e:
         if e.pc is not None and e.pc < len(raw):
             raise ProgramFormatError(str(e).split(": ", 1)[-1], line=raw[e.pc][3])
+        if isinstance(e, _HeaderError):
+            raise ProgramFormatError(str(e), line=header_line)
         raise
 
 

@@ -55,8 +55,8 @@ def awgn_bpsk_llr(x, sigma, rng, out=None):
     x = np.asarray(x)
     if out is None:
         out = np.empty(x.shape)
-    elif out.shape != x.shape:
-        raise ValueError(f"out must have shape {x.shape}, got {out.shape}")
+    elif out.shape != x.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {x.shape}")
     y = rng.standard_normal(out=out)
     lib = _clib.library()
     if lib is not None:

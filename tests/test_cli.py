@@ -225,10 +225,14 @@ def test_decode_usage_errors(tmp_path, capsys):
             "--design-sigma2", "0.5", "-o", str(mask))
     run_cli(capsys, "compile", "--mask", str(mask), "--p", "8", "-o", str(prog_path))
 
-    rc, _, err = run_cli(capsys, "decode", "--program", str(prog_path),
-                         "--in", str(llrs), "--info")
-    assert rc == 1
-    assert "mask" in err
+    # the program carries its code, so --info needs no mask
+    rc, alone, _ = run_cli(capsys, "decode", "--program", str(prog_path),
+                           "--in", str(llrs), "--info")
+    assert rc == 0
+    rc, with_mask, _ = run_cli(capsys, "decode", "--program", str(prog_path),
+                               "--mask", str(mask), "--in", str(llrs), "--info")
+    assert rc == 0
+    assert alone == with_mask and len(alone.strip()) == 5
 
     other = tmp_path / "other.txt"
     run_cli(capsys, "construct", "--n-bits", "3", "--k", "4",
@@ -236,7 +240,41 @@ def test_decode_usage_errors(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "decode", "--program", str(prog_path),
                          "--mask", str(other), "--in", str(llrs))
     assert rc == 2
-    assert "does not match" in err
+    assert "is not the frozen set of program" in err
+
+
+def test_program_rejects_a_mask_of_the_same_size_from_another_design(tmp_path, capsys):
+    four, one = tmp_path / "4db.txt", tmp_path / "1db.txt"
+    for path, ebno in ((four, "4"), (one, "1")):
+        run_cli(capsys, "construct", "--n-bits", "10", "--k", "512",
+                "--design-ebno", ebno, "-o", str(path))
+    assert (load_spec(four).frozen_mask != load_spec(one).frozen_mask).sum() == 32
+    prog_path = tmp_path / "prog.bin"
+    run_cli(capsys, "compile", "--mask", str(four), "--binary", "-o", str(prog_path))
+    llrs = tmp_path / "llr.txt"
+    write_lines(llrs, [" ".join(["4.0"] * 1024)])
+    for argv in (("decode", "--in", str(llrs)), ("decode", "--in", str(llrs), "--info"),
+                 ("bench", "--frames", "1")):
+        rc, out, err = run_cli(capsys, *argv, "--program", str(prog_path), "--mask", str(one))
+        assert rc == 2
+        assert out == ""
+        assert err == ("fastssc: error: mask (1024,512) is not the frozen set of "
+                       "program (1024,512)\n")
+        rc, _, _ = run_cli(capsys, *argv, "--program", str(prog_path), "--mask", str(four))
+        assert rc == 0
+
+
+def test_program_whose_header_k_disagrees_exits_2(tmp_path, capsys):
+    prog_path = tmp_path / "prog.txt"
+    prog_path.write_text("N=8 k=3 P=256\nREP-SPC L stage=3\n")
+    llrs = tmp_path / "llr.txt"
+    write_lines(llrs, ["1.0 -1.0 1.0 1.0 1.0 1.0 1.0 1.0"])
+    for argv in (("show-program",), ("decode", "--in", str(llrs))):
+        rc, out, err = run_cli(capsys, *argv, "--program", str(prog_path))
+        assert rc == 2
+        assert out == ""
+        assert err == ("fastssc: error: line 1: header k=3, but the instructions decide "
+                       "4 information bits\n")
 
 
 def test_bad_input_files(tmp_path, capsys):
@@ -326,9 +364,10 @@ def test_bench_cli(tmp_path, capsys):
     run_cli(capsys, "construct", "--n-bits", "6", "--k", "32",
             "--design-sigma2", "0.5", "-o", str(mask))
     run_cli(capsys, "compile", "--mask", str(mask), "--p", "32", "-o", str(prog_path))
-    rc, _, err = run_cli(capsys, "bench", "--program", str(prog_path), "--frames", "32")
-    assert rc == 1
-    assert "mask" in err
+    # the program carries its code: frames are generated from it alone
+    rc, out, _ = run_cli(capsys, "bench", "--program", str(prog_path), "--frames", "32")
+    assert rc == 0
+    assert "frames: 32" in out
     rc, out, _ = run_cli(capsys, "bench", "--program", str(prog_path),
                          "--mask", str(mask), "--frames", "32")
     assert rc == 0
@@ -338,7 +377,7 @@ def test_bench_cli(tmp_path, capsys):
                            "--k", "20", "--design-sigma2", "0.5", "--frames", "16")
     assert rc == 2
     assert out == ""
-    assert err == "fastssc: error: mask (64,20) does not match program (64,32)\n"
+    assert err == "fastssc: error: mask (64,20) is not the frozen set of program (64,32)\n"
 
 
 @pytest.mark.parametrize("flag, value", [

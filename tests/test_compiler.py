@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import struct
 from types import SimpleNamespace
 
@@ -26,6 +27,7 @@ from fastssc.compiler import (
 )
 from fastssc.engine import EngineError, _check_access
 from fastssc.polar import CodeSpec, construct_frozen_set
+from fastssc.simulate import ebno_to_sigma2
 
 REV8 = np.array([0, 4, 2, 6, 1, 5, 3, 7])
 
@@ -205,6 +207,22 @@ def test_parse_rejects_structurally_invalid_programs():
     # an empty program only fits a fully frozen code
     with pytest.raises(ProgramFormatError):
         parse_program("N=8 k=5 P=256\n")
+
+
+def test_header_k_must_equal_the_information_bits_decided():
+    # REP-SPC decides leaves 3, 5, 6 and 7 of its node: 4 information bits
+    text = "# REP-SPC alone\nN=8 k=3 P=256\nREP-SPC L stage=3\n"
+    msg = "header k=3, but the instructions decide 4 information bits"
+    with pytest.raises(ProgramFormatError) as e:
+        parse_program(text)
+    assert (e.value.line, e.value.pc, str(e.value)) == (2, None, f"line 2: {msg}")
+    with pytest.raises(ProgramFormatError) as e:
+        parse_program_binary(_raw_binary(3, 3, 256, [(Opcode.REP_SPC, False)]))
+    assert (e.value.line, e.value.pc, str(e.value)) == (None, None, msg)
+    with pytest.raises(ProgramFormatError, match="decide 4 information bits"):
+        Program(n_bits=3, k=5, p=256, instructions=(Instruction(Opcode.REP_SPC, False, 3),))
+    prog = parse_program(text.replace("k=3", "k=4"))
+    assert np.flatnonzero(~prog.spec.frozen_natural).tolist() == [3, 5, 6, 7]
 
 
 def test_program_header_validation():
@@ -422,6 +440,41 @@ def test_program_formats_are_fixed(text, blob):
     assert serialize_program(back) == text
     used = {ins.op for ins in prog.instructions}
     assert used == ({Opcode.R1} if text == R1_TEXT else set(Opcode) - {Opcode.R1})
+
+
+def test_every_opcode_decides_its_information_leaves():
+    prog = parse_program(EVERY_OP_TEXT)
+    # REP-SPC 3 5 6 7, ML 9 11, P-RSPC 13-15, P-0SPC 23, P-01 25, REP 27, P-R1 28-31
+    info = [3, 5, 6, 7, 9, 11, 13, 14, 15, 23, 25, 27, 28, 29, 30, 31]
+    assert np.flatnonzero(~prog.spec.frozen_natural).tolist() == info
+    assert parse_program(R1_TEXT).spec.k == 2
+    # an R1 left child under a mixed node, which no compiled tree has, leaves
+    # leaf 0 unfrozen: no CodeSpec has that mask
+    odd = parse_program("N=4 k=3 P=1\nF L stage=1\nR1 L stage=1\nG R stage=1\n"
+                        "P-01 R stage=1\nCOMBINE L stage=2\n")
+    with pytest.raises(ValueError, match="must freeze index 0"):
+        odd.spec
+
+
+def test_program_derives_the_mask_it_was_compiled_from():
+    """GA codes over n = 1..10 under five rule sets: the derived spec is the
+    source mask, and the formats and pickles give back equal programs."""
+    rules = [rules_from_names(r) for r in ("all", "none", "ssc", "spc,rep", "rep-spc,ml4")]
+    for n in range(1, 11):
+        N = 1 << n
+        for k in sorted({1, N // 8 or 1, N // 4 or 1, N // 2, 3 * N // 4 or 1, N - 1, N}):
+            for ebno in (0.0, 2.0, 4.0, 6.0):
+                spec = construct_frozen_set(n, k, ebno_to_sigma2(ebno, k / N))
+                for r in rules:
+                    prog = compile_tree(build_tree(spec, 64, r))
+                    assert "spec" not in prog.__dict__  # derived lazily, not on construction
+                    assert np.array_equal(prog.spec.frozen_mask, spec.frozen_mask), (n, k, r)
+            # spec is no compared field: the stored forms give back an equal program
+            assert parse_program(serialize_program(prog)) == prog
+            assert parse_program_binary(serialize_program_binary(prog)) == prog
+            clone = pickle.loads(pickle.dumps(prog))  # a pickle derives its spec again
+            assert "spec" not in clone.__dict__ and clone == prog
+            assert np.array_equal(clone.spec.frozen_mask, spec.frozen_mask)
 
 
 # the stages at which each instruction can appear in a valid program

@@ -53,6 +53,7 @@ def test_every_downward_closed_code_up_to_16():
             for ml4 in (False, True):
                 # compiling raises CompileError if the set has no instruction form
                 prog = compile_tree(build_tree(spec, 64, NodeRuleSet(ml4=ml4)))
+                assert np.array_equal(prog.spec.frozen_mask, mask), mask
                 got = execute(prog, noisy)
                 if not ml4:  # ML4 decodes its nodes by ML, not SC
                     assert np.array_equal(got, oracle), mask

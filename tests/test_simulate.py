@@ -110,6 +110,25 @@ def test_awgn_equals_original_formula():
         awgn_bpsk_llr(bits, 1.0, np.random.default_rng(0), out=np.empty((3, 5, 32)))
 
 
+def test_awgn_rejects_out_that_is_not_c_contiguous_float64(builds, monkeypatch):
+    """On the numpy steps and on each compiled build, before anything is drawn.
+
+    A transposed (F-order) buffer of the right shape once paired LLRs with the
+    wrong bits on the compiled path, which walks `out`'s memory in x's order.
+    """
+    x = np.random.default_rng(3).integers(0, 2, size=(4, 8), dtype=np.uint8)
+    bad = (np.empty((8, 4)).T, np.empty((4, 16))[:, ::2], np.empty((4, 8), np.float32),
+           np.empty((4, 8), np.int64))
+    for lib in [None, *builds.values()]:
+        monkeypatch.setattr(_clib, "library", lambda: lib)
+        for out in bad:
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
+                awgn_bpsk_llr(x, 0.5, rng, out=out)
+            assert rng.bit_generator.state == state
+
+
 def reference_run(cfg):
     """(frames, bit errors, frame errors) per point from fresh arrays in every batch.
 
