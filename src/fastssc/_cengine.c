@@ -1,5 +1,7 @@
 /* Compiled batch steps for fastssc: the fixed-point decoder interpreter, the
- * systematic encoder, the AWGN channel arithmetic and the channel quantizer.
+ * systematic encoder, the AWGN channel arithmetic and the channel quantizer,
+ * and, where numpy.random's static library is linked in, the frame bits and
+ * the channel noise drawn as numpy's PCG64 Generator draws them.
  *
  * fastssc._clib builds this file with the system C compiler on first use and
  * calls it through ctypes.  Every entry gives the values of the numpy code it
@@ -324,9 +326,9 @@ static void butterfly(uint8_t *x, int64_t n)
             }
 }
 
-/* polar.encode_systematic on `rows` rows of k bits: place them at the unfrozen
- * positions `info`, zeros elsewhere (numpy's gather and mask), transform, zero
- * the frozen positions (keep = 0), transform */
+/* polar.encode_systematic on `rows` rows of k bits: zero the row, assign the
+ * bits to the unfrozen positions `info` (numpy's fill and index assignment),
+ * transform, zero the frozen positions (keep = 0), transform */
 void encode(const uint8_t *a, int64_t k, const int64_t *info, const uint8_t *keep, int64_t n,
             int64_t rows, uint8_t *out)
 {
@@ -349,6 +351,126 @@ void channel(double *z, const int8_t *x, int64_t m, double sigma, double sigma2)
     for (int64_t i = 0; i < m; i++)
         z[i] = ((z[i] * sigma + (int8_t)(1 - 2 * x[i])) * 2.0) / sigma2;
 }
+
+#ifdef FASTSSC_NUMPY_RANDOM
+/* Draws of numpy's Generator over PCG64, bit for bit, compiled in when
+ * _clib links numpy's libnpyrandom.a.  A generator's state travels as six
+ * words: state (high, low), increment (high, low), has_uint32, uinteger.
+ * numpy.random's bitgen_t, and its normal draw, which reads next_uint64 and
+ * next_double only: */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+double random_standard_normal(bitgen_t *bitgen_state);
+
+__extension__ typedef unsigned __int128 u128;
+
+/* PCG64 (O'Neill 2014): a 128-bit LCG step, then the XSL-RR output */
+static uint64_t pcg64_next(u128 *state, u128 inc)
+{
+    u128 s = *state = *state * (((u128)0x2360ED051FC65DA4u << 64) | 0x4385DF649FCCF645u) + inc;
+    uint64_t v = (uint64_t)(s >> 64) ^ (uint64_t)s;
+    unsigned rot = (unsigned)(s >> 122);
+    return (v >> rot) | (v << ((64 - rot) & 63));
+}
+
+/* The bitgen_t numpy's normal draw runs behind: its first next_uint64 returns
+   the held word, and later ones step the generator.  A probe (inc = 0, where
+   PCG64's is odd) does not step: its later words are 1 << 63, which read as a
+   next_uint64 give 0.0 at once and as a next_double give 0.5, and end the tail */
+typedef struct { u128 state, inc; uint64_t held; int calls; } shim_t;
+
+static uint64_t shim_next64(void *st)
+{
+    shim_t *g = st;
+    if (!g->calls++)
+        return g->held;
+    return g->inc ? pcg64_next(&g->state, g->inc) : (uint64_t)1 << 63;
+}
+
+static double shim_double(void *st) { return (double)(shim_next64(st) >> 11) * 0x1p-53; }
+
+static double replay(shim_t *g)
+{
+    bitgen_t bg = {g, shim_next64, NULL, shim_double, NULL};
+    return random_standard_normal(&bg);
+}
+
+static double wi[256];
+static uint64_t ki[256];
+
+/* Reads numpy's ziggurat tables through its own function: the word with index
+   idx and magnitude 1 gives wi[idx], and ki[idx] is the least magnitude that
+   leaves the fast path, which reads one word only */
+void normal_tables(void)
+{
+    for (uint64_t idx = 0; idx < 256; idx++) {
+        shim_t probe = {0, 0, 1 << 9 | idx, 0};
+        uint64_t lo = 0, hi = (uint64_t)1 << 52;
+        wi[idx] = replay(&probe);
+        while (lo < hi) {
+            uint64_t mid = lo + (hi - lo) / 2;
+            probe.held = mid << 9 | idx;
+            probe.calls = 0;
+            replay(&probe);
+            if (probe.calls == 1)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        ki[idx] = lo;
+    }
+}
+
+/* simulate.awgn_bpsk_llr in one pass: Generator.standard_normal's z, then the
+ * channel arithmetic above.  The ziggurat's fast path (Marsaglia & Tsang 2000)
+ * runs here, with the sign bit XORed in; a miss (~1.2% of values) replays its
+ * word through numpy's own function */
+void awgn(uint64_t *pcg, const int8_t *x, double *llr, int64_t m, double sigma, double sigma2)
+{
+    u128 s = (u128)pcg[0] << 64 | pcg[1], inc = (u128)pcg[2] << 64 | pcg[3];
+    for (int64_t i = 0; i < m; i++) {
+        uint64_t r = pcg64_next(&s, inc), idx = r & 0xff, mag = (r >> 9) & 0xfffffffffffffu, b;
+        double z = (double)(int64_t)mag * wi[idx];
+        memcpy(&b, &z, 8);
+        b ^= (r << 55) & ((uint64_t)1 << 63);
+        memcpy(&z, &b, 8);
+        if (mag >= ki[idx]) {
+            shim_t g = {s, inc, r, 0};
+            z = replay(&g);
+            s = g.state;
+        }
+        llr[i] = ((z * sigma + (int8_t)(1 - 2 * x[i])) * 2.0) / sigma2;
+    }
+    pcg[0] = (uint64_t)(s >> 64);
+    pcg[1] = (uint64_t)s;
+}
+
+/* Generator.integers(0, 2, m, dtype=np.uint8): Lemire's method over the bytes
+ * of next_uint32 words, which for two values is each byte's top bit */
+void bits(uint64_t *pcg, uint8_t *out, int64_t m)
+{
+    u128 s = (u128)pcg[0] << 64 | pcg[1], inc = (u128)pcg[2] << 64 | pcg[3];
+    uint64_t has_uint32 = pcg[4], uinteger = pcg[5];
+    for (int64_t i = 0; i < m; i += 4, has_uint32 ^= 1) {
+        uint64_t w = uinteger;
+        if (!has_uint32) {
+            w = pcg64_next(&s, inc);
+            uinteger = w >> 32;
+        }
+        for (int j = 0; j < 4 && i + j < m; j++)
+            out[i + j] = (w >> (8 * j + 7)) & 1;
+    }
+    pcg[0] = (uint64_t)(s >> 64);
+    pcg[1] = (uint64_t)s;
+    pcg[4] = has_uint32;
+    pcg[5] = uinteger;
+}
+#endif
 
 /* quantize.quantize_channel: scale, clip to [-lim, lim], add +-0.5, truncate.
  * Returns 1 when a value is NaN (its slot gets lim, so the cast stays defined). */

@@ -10,6 +10,15 @@ and loaded in its place.  Each file is named by a key over the source, the
 flags (the ISA level's included) and the machine type, so a cache shared
 between CPUs stays safe.
 
+Where numpy ships numpy.random's static library, numpy/random/lib/
+libnpyrandom.a, the build links it in and compiles the draws of a PCG64
+Generator: the frame bits and the channel noise, whose ziggurat misses run
+numpy's own normal draw.  The key then covers numpy's version and the
+archive's crc32 too.  Each loaded build runs a self-test against numpy's
+draws; with no archive, or a failed self-test, its `awgn` and `bits` are
+None and `draw_error` says why, and `library()` warns once that numpy draws
+the bits and the noise, with the same results.
+
 With no compiler, or a failed build, `library()` is None, the process warns
 once, and every caller (the fixed-point decoder, the systematic encoder, the
 AWGN channel and the quantizer) runs its numpy steps, with the same results.
@@ -30,6 +39,8 @@ import zlib
 from functools import cache
 from pathlib import Path
 
+import numpy as np
+
 # No -march=native: the cache directory may be shared with another CPU.  No
 # FMA contraction: the channel must round as numpy's separate passes do.
 _CFLAGS = ("-std=c99", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
@@ -46,7 +57,15 @@ _SIGNATURES = {
     "channel": ([_P, _P, _I, ctypes.c_double, ctypes.c_double], None),
     "quantize": ([_P, _P, _I, ctypes.c_double, ctypes.c_double], _I),
 }
+# entries compiled in with numpy.random's static library, libnpyrandom.a
+_DRAWS = {
+    "normal_tables": ([], None),
+    "awgn": ([_P, _P, _P, _I, ctypes.c_double, ctypes.c_double], None),
+    "bits": ([_P, _P, _I], None),
+}
 _FAILURES = (OSError, RuntimeError, subprocess.SubprocessError)
+_M64 = (1 << 64) - 1
+_SELF_TEST_SEED = 19  # its 4097 normals after 4097 bits hold 4 tail values, |z| > 3.654
 
 
 @cache
@@ -64,10 +83,14 @@ def library(cc="cc", cache_dir=None):
         return None
     if lib.cpu_supports_x86_64_v3():
         try:
-            return variant("x86-64-v3", cc, cache_dir)
+            lib = variant("x86-64-v3", cc, cache_dir)
         except _FAILURES as exc:
             warnings.warn(f"fastssc: the x86-64-v3 build is unavailable ({exc}); "
                           "the baseline build runs", UserWarning, stacklevel=3)
+    if lib.draw_error:
+        warnings.warn(f"fastssc: the compiled noise draw is unavailable ({lib.draw_error}); "
+                      "numpy draws the frame bits and the channel noise", UserWarning,
+                      stacklevel=3)
     return lib
 
 
@@ -82,10 +105,14 @@ def variant(level, cc="cc", cache_dir=None):
     that compiler again, and a changed compiler tries again.
     """
     source = Path(__file__).with_name("_cengine.c")
-    flags = _CFLAGS + LEVELS[level]
+    flags, link = _CFLAGS + LEVELS[level], ()
+    keyed = [source.read_bytes(), platform.machine().encode()]
+    archive = _numpy_random_archive()
+    if archive is not None:  # linked in whole, so its bytes and numpy's version are keyed
+        flags, link = flags + ("-DFASTSSC_NUMPY_RANDOM",), (str(archive), "-lm")
+        keyed += [np.__version__.encode(), b"%08x" % zlib.crc32(archive.read_bytes())]
     # crc32, not hashlib: importing hashlib alone costs ~3.5 MB of RSS
-    key = zlib.crc32(b" ".join([source.read_bytes(), platform.machine().encode(),
-                                *map(str.encode, flags)]))
+    key = zlib.crc32(b" ".join([*keyed, *map(str.encode, flags)]))
     lib = Path(cache_dir or _user_cache_dir()) / f"_cengine-{level}-{key:08x}.so"
     if not lib.exists():
         compiler = shutil.which(cc)
@@ -100,7 +127,7 @@ def variant(level, cc="cc", cache_dir=None):
         fd, tmp = tempfile.mkstemp(".so", ".build-", lib.parent)
         os.close(fd)
         try:
-            subprocess.run([compiler, *flags, "-o", tmp, str(source)],
+            subprocess.run([compiler, *flags, "-o", tmp, str(source), *link],
                            check=True, capture_output=True, timeout=600)
             os.replace(tmp, lib)
         except subprocess.CalledProcessError as exc:
@@ -111,10 +138,59 @@ def variant(level, cc="cc", cache_dir=None):
         finally:
             Path(tmp).unlink(missing_ok=True)
     dll = ctypes.CDLL(str(lib))
-    for name, (args, res) in _SIGNATURES.items():
+    for name, (args, res) in (_SIGNATURES | (_DRAWS if archive else {})).items():
         fn = getattr(dll, name)
         fn.argtypes, fn.restype = args, res
+    if archive is None:
+        dll.draw_error = "numpy.random's libnpyrandom.a was not found"
+    else:
+        dll.normal_tables()
+        dll.draw_error = _self_test(dll)
+    if dll.draw_error:
+        dll.awgn = dll.bits = None
     return dll
+
+
+def _numpy_random_archive():
+    """numpy.random's static library of distributions, or None where this numpy has none."""
+    path = Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
+    return path if path.is_file() else None
+
+
+def pcg64_call(entry, rng, *args):
+    """entry(state words, *args) on the PCG64 state of rng, a Generator, under
+    its lock.  The state moves through the public `state` property."""
+    bit_generator = rng.bit_generator
+    with bit_generator.lock:
+        state = bit_generator.state
+        s, inc = state["state"]["state"], state["state"]["inc"]
+        words = (ctypes.c_uint64 * 6)(s >> 64, s & _M64, inc >> 64, inc & _M64,
+                                      state["has_uint32"], state["uinteger"])
+        entry(words, *args)
+        state["state"]["state"] = words[0] << 64 | words[1]
+        state["has_uint32"], state["uinteger"] = words[4], words[5]
+        bit_generator.state = state
+
+
+def _self_test(dll):
+    """None where the library's draws equal numpy's, bit for bit, else what differs.
+
+    Bits, whose last uint32 leaves its high half buffered, then the channel
+    LLRs of 4097 normals, against Generator(PCG64(seed)) and the library's own
+    `channel`."""
+    want_rng, got_rng = (np.random.Generator(np.random.PCG64(_SELF_TEST_SEED)) for _ in "ab")
+    n, sigma = 4097, 0.75
+    want_x, got_x = want_rng.integers(0, 2, n, dtype=np.uint8), np.empty(n, np.uint8)
+    pcg64_call(dll.bits, got_rng, got_x.ctypes.data, n)
+    want, got = want_rng.standard_normal(n), np.empty(n)
+    dll.channel(want.ctypes.data, want_x.ctypes.data, n, sigma, sigma * sigma)
+    pcg64_call(dll.awgn, got_rng, got_x.ctypes.data, got.ctypes.data, n, sigma, sigma * sigma)
+    if not np.array_equal(got_x, want_x) or not np.array_equal(got.view(np.int64),
+                                                                 want.view(np.int64)):
+        return "its self-test drew other values than numpy"
+    if got_rng.bit_generator.state != want_rng.bit_generator.state:
+        return "its self-test left another generator state than numpy"
+    return None
 
 
 def _user_cache_dir():

@@ -422,8 +422,9 @@ def walk_stages(ops_sides, n_bits, k, declared=None):
     opcode's side, phase and stage rules are its row of OPS.  When
     `declared` stages are supplied they are checked against the derived
     ones, and k against the information leaves the closers decide (OPS
-    info).  Raises ProgramFormatError with the failing program counter, or
-    a _HeaderError, with none, when k disagrees.
+    info).  A complete walk must leave leaf 0 frozen unless k = N.  Raises
+    ProgramFormatError with the failing program counter, or a _HeaderError,
+    with none, when k disagrees.
     The node of an instruction, the one it opens or closes, is a (stage,
     start) pair: it owns leaves [start, start + 2^stage).
     """
@@ -439,7 +440,7 @@ def walk_stages(ops_sides, n_bits, k, declared=None):
     if k == 0:
         err("an all-frozen code compiles to an empty program", 0)
     stack = [[n_bits, False, _START, False, 0]]  # stage, is_right, phase, zero_left, start
-    info = 0
+    info, leaf0 = 0, None
     for pc, (op, right) in enumerate(ops_sides):
         if not stack:
             err("instruction after the root completed", pc)
@@ -469,12 +470,17 @@ def walk_stages(ops_sides, n_bits, k, declared=None):
             err(f"{row.name} side flag does not match the open node", pc)
         for lo, hi in row.info(1 << stage):
             info += hi - lo
+            if start + lo == 0:
+                leaf0 = pc
         nodes.append((stage, start))
         stack.pop()
         if stack:
             stack[-1][2] = _AFTER_RIGHT if is_right else _AFTER_LEFT
     if stack:
         raise ProgramFormatError("program ends with unfinished nodes", pc=len(ops_sides) - 1)
+    if leaf0 is not None and k < 1 << n_bits:
+        err(f"{OPS[ops_sides[leaf0][0]].name} decides leaf 0, which a code with frozen bits "
+            "freezes", leaf0)
     if info != k:
         raise _HeaderError(f"header k={k}, but the instructions decide {info} information bits")
     if declared is not None:
@@ -641,11 +647,11 @@ def parse_program_binary(data):
             f"truncated program body: expected {nbytes} bytes, got {len(body)}"
         )
     acc = int.from_bytes(body, "little")
-    ops_sides = []
+    ops_sides, n_ops = [], len(Opcode)
     for i in range(count):
         fieldv = (acc >> (5 * i)) & 31
         op, right = fieldv & 15, bool(fieldv >> 4)
-        if op > max(Opcode):
+        if op >= n_ops:
             raise ProgramFormatError(f"unknown opcode value {op}", pc=i)
         ops_sides.append((Opcode(op), right))
     nodes = walk_stages(ops_sides, n_bits, k)

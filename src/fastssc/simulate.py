@@ -44,8 +44,10 @@ def awgn_bpsk_llr(x, sigma, rng, out=None):
 
     out, a C-contiguous float64 array of x's shape, receives the LLRs when
     given; they are formed in place with the same rounding, so the values do
-    not depend on it.  numpy draws the noise; the arithmetic after it runs in
-    one pass of the C library when it loads, again with the same rounding.
+    not depend on it.  Where the C library loads, it forms them in one pass
+    with the same rounding, and where rng is a Generator over PCG64 it also
+    draws the noise, the values numpy's `standard_normal` would draw, with
+    the same state left behind.  Other generators draw through numpy.
     """
     # ebno_to_sigma2's rule: a finite, positive sigma with a finite LLR scale 2/sigma^2
     sigma2 = sigma * sigma
@@ -57,17 +59,37 @@ def awgn_bpsk_llr(x, sigma, rng, out=None):
         out = np.empty(x.shape)
     elif out.shape != x.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {x.shape}")
-    y = rng.standard_normal(out=out)
     lib = _clib.library()
-    if lib is not None:
-        bits = np.ascontiguousarray(x.view(np.int8) if x.dtype == np.uint8 else x, np.int8)
-        lib.channel(y.ctypes.data, bits.ctypes.data, y.size, sigma, sigma2)
+    if lib is None:
+        y = rng.standard_normal(out=out)
+        y *= sigma
+        y += 1 - 2 * np.asarray(x, dtype=np.int8)  # +-1 as int8, exact in float64
+        y *= 2.0
+        y /= sigma2
         return y
-    y *= sigma
-    y += 1 - 2 * np.asarray(x, dtype=np.int8)  # +-1 as int8, exact in float64
-    y *= 2.0
-    y /= sigma2
-    return y
+    bits = np.ascontiguousarray(x.view(np.int8) if x.dtype == np.uint8 else x, np.int8)
+    if lib.awgn is not None and _is_pcg64(rng):
+        _clib.pcg64_call(lib.awgn, rng, bits.ctypes.data, out.ctypes.data, out.size,
+                         sigma, sigma2)
+    else:
+        rng.standard_normal(out=out)
+        lib.channel(out.ctypes.data, bits.ctypes.data, out.size, sigma, sigma2)
+    return out
+
+
+def _random_bits(rng, shape):
+    """rng.integers(0, 2, shape, dtype=np.uint8), drawn by the C library where
+    it loads and rng is a Generator over PCG64, with the same values and state."""
+    lib = _clib.library()
+    if lib is None or lib.bits is None or not _is_pcg64(rng):
+        return rng.integers(0, 2, size=shape, dtype=np.uint8)
+    a = np.empty(shape, np.uint8)
+    _clib.pcg64_call(lib.bits, rng, a.ctypes.data, a.size)
+    return a
+
+
+def _is_pcg64(rng):
+    return type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64
 
 
 @dataclass
@@ -218,7 +240,7 @@ def _sim_batch(program, quant, work, entropy, sigma, size):
     spec = program.spec
     codewords, llr, wrong = (w[:size] for w in work)
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
-    a = rng.integers(0, 2, size=(size, spec.k), dtype=np.uint8)
+    a = _random_bits(rng, (size, spec.k))
     x = encode_systematic(a, spec, out=codewords)
     llr = awgn_bpsk_llr(x, sigma, rng, out=llr)
     if quant is not None:
@@ -288,7 +310,7 @@ def bench(program, frames, quant=None, ebno_db=4.0, seed=0, batch_size=128):
     rate = spec.k / spec.N
     sigma = float(np.sqrt(ebno_to_sigma2(ebno_db, rate)))
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
-    a = rng.integers(0, 2, size=(frames, spec.k), dtype=np.uint8)
+    a = _random_bits(rng, (frames, spec.k))
     llr = awgn_bpsk_llr(encode_systematic(a, spec), sigma, rng)
     if quant is not None:
         llr = quantize_channel(llr, quant)

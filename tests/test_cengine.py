@@ -1,9 +1,10 @@
 """The compiled library, `_cengine.c`, against the numpy steps it stands in for.
 
 `engine.execute` decodes fixed-point frames in the library when it loads,
-and `encode_systematic`, `awgn_bpsk_llr` (after the draw) and
-`quantize_channel` run there too; the numpy steps are their bit-exact
-reference.
+and `encode_systematic`, `awgn_bpsk_llr` and `quantize_channel` run there
+too, as do the frame bits and the noise of a PCG64 Generator where numpy's
+libnpyrandom.a is linked in; the numpy steps and numpy's own draws are
+their bit-exact reference.
 Every comparison runs on each ISA level's build, through the `builds`
 fixture, and reaches the numpy steps by making `_clib.library` return None,
 which is also what a missing compiler or a failed build gives, there with a
@@ -21,7 +22,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fastssc import _clib, engine
+from fastssc import _clib, engine, simulate
 from fastssc.compiler import build_tree, compile_tree, rules_from_names
 from fastssc.engine import execute
 from fastssc.polar import (
@@ -121,6 +122,188 @@ def test_c_channel_equals_numpy_formula(builds):
             with on(lib):
                 got = awgn_bpsk_llr(x, sigma, np.random.default_rng(44))
             assert np.array_equal(got, want), (level, sigma)
+
+
+def draw_pair(seed):
+    """Two equal generators over PCG64, each with a uint32 half buffered."""
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))) for _ in "ab"]
+    for rng in rngs:
+        rng.integers(0, 2**32, dtype=np.uint32)
+    return rngs
+
+
+def test_c_draws_equal_numpy_bit_for_bit(builds):
+    """The bits and the noise of a PCG64 Generator, drawn in the library, take
+    numpy's values and leave numpy's state: the draws after them agree too."""
+    for level, lib in builds.items():
+        assert lib.awgn is not None and lib.bits is not None, (level, lib.draw_error)
+        for seed in range(200):
+            for n in (0, 1, 7, 4096, 100_003):
+                want_rng, got_rng = draw_pair(seed)
+                with on(None):
+                    want_x = simulate._random_bits(want_rng, (n,))
+                    want = awgn_bpsk_llr(want_x, 0.7, want_rng)
+                with on(lib):
+                    got_x = simulate._random_bits(got_rng, (n,))
+                    got = awgn_bpsk_llr(got_x, 0.7, got_rng)
+                assert np.array_equal(got_x, want_x), (level, seed, n)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (level, seed, n)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                assert np.array_equal(got_rng.integers(0, 1000, 9), want_rng.integers(0, 1000, 9))
+                assert np.array_equal(got_rng.random(3), want_rng.random(3))
+
+
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def drawing(word, inc=0x5851F42D4C957F2D14057B7EF767814F):
+    """A Generator over PCG64 whose next 64-bit word is `word`: a state whose
+    XSL-RR output is the word, stepped back through the LCG."""
+    rot, hi = 23, 23 << 58 | 0x0545F4914F6CDD1D
+    lo = hi ^ ((word << rot | word >> 64 - rot) & (1 << 64) - 1)
+    state = ((hi << 64 | lo) - inc) * pow(PCG64_MULT, -1, 1 << 128) % (1 << 128)
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bit_generator)
+
+
+def test_c_normal_draw_at_the_fast_path_edges(builds):
+    """numpy's ziggurat takes a word's 52-bit magnitude m on its fast path
+    when m < ki[index]; at m = ki it reads more words (a wedge, or the tail
+    at index 0).  The edge is found through numpy alone, by bisection over
+    crafted words; the library agrees on both sides of it, for both signs."""
+    assert drawing(12345).bit_generator.random_raw() == 12345
+
+    def fast(word):
+        rng = drawing(word)
+        rng.standard_normal()
+        after = rng.bit_generator.state
+        rng = drawing(word)
+        rng.bit_generator.random_raw()
+        return after == rng.bit_generator.state
+
+    for idx in (0, 1, 2, 100, 254, 255):
+        lo, hi = 0, 1 << 52
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if fast(mid << 9 | idx) else (lo, mid)
+        for mag in {0, max(lo - 1, 0), lo, min(lo + 1, (1 << 52) - 1), (1 << 52) - 1}:
+            for sign in (0, 1):
+                word = mag << 9 | sign << 8 | idx
+                with on(None):
+                    rng = drawing(word)
+                    want = awgn_bpsk_llr(np.zeros(3, np.uint8), 1.5, rng), rng.bit_generator.state
+                for level, lib in builds.items():
+                    with on(lib):
+                        rng = drawing(word)
+                        got = awgn_bpsk_llr(np.zeros(3, np.uint8), 1.5, rng)
+                    assert np.array_equal(got.view(np.int64), want[0].view(np.int64)), \
+                        (level, idx, mag, sign)
+                    assert rng.bit_generator.state == want[1]
+
+
+def test_self_test_draws_tail_values():
+    """The load-time self-test's normals reach past the ziggurat's base strip,
+    into the tail that numpy's own code draws."""
+    rng = np.random.Generator(np.random.PCG64(_clib._SELF_TEST_SEED))
+    rng.integers(0, 2, 4097, dtype=np.uint8)
+    assert np.count_nonzero(np.abs(rng.standard_normal(4097)) > 3.6541528853610088) >= 3
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64DXSM,
+                                           np.random.MT19937])
+def test_other_generators_draw_through_numpy(bit_generator, builds):
+    x = np.random.default_rng(1).integers(0, 2, (3, 100), dtype=np.uint8)
+    with on(None):
+        rng = np.random.Generator(bit_generator(5))
+        want = simulate._random_bits(rng, (3, 100)), awgn_bpsk_llr(x, 0.8, rng)
+    for level, lib in builds.items():
+        rng = np.random.Generator(bit_generator(5))
+        with on(lib), mock.patch.object(_clib, "pcg64_call", side_effect=AssertionError):
+            got = simulate._random_bits(rng, (3, 100)), awgn_bpsk_llr(x, 0.8, rng)
+        assert all(map(np.array_equal, got, want)), level
+
+
+def test_threads_sharing_a_generator_take_its_lock(builds):
+    """Each call draws one unbroken stretch of the stream, under the bit
+    generator's lock: a held lock blocks the draw, and four threads sharing
+    one generator draw exactly the stretches of a serial run."""
+    x = np.random.default_rng(2).integers(0, 2, 5000, dtype=np.uint8)
+    with on(None):
+        ref = np.random.default_rng(9)
+        want = sorted(awgn_bpsk_llr(x, 0.6, ref).tobytes() for _ in range(40))
+    for level, lib in builds.items():
+        rng = np.random.default_rng(9)
+        with on(lib):
+            rng.bit_generator.lock.acquire()
+            t = threading.Thread(target=awgn_bpsk_llr, args=(x, 0.6, rng))
+            t.start()
+            t.join(timeout=0.2)
+            held = t.is_alive()
+            rng.bit_generator.lock.release()
+            t.join(timeout=30)
+            assert held and not t.is_alive(), level
+            rng = np.random.default_rng(9)
+            barrier, got = threading.Barrier(4, timeout=30), []
+
+            def worker():
+                barrier.wait()
+                got.extend(awgn_bpsk_llr(x, 0.6, rng).tobytes() for _ in range(10))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=worker) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(got) == want, level
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def draws_of(lib):
+    with on(lib):
+        rng = np.random.default_rng(4)
+        x = simulate._random_bits(rng, (6, 70))
+        return x, awgn_bpsk_llr(x, 0.9, rng), rng.bit_generator.state
+
+
+def test_missing_archive_leaves_the_draws_to_numpy(builds, tmp_path, monkeypatch):
+    if not builds:
+        pytest.skip("no C compiler")
+    monkeypatch.setattr(_clib, "_numpy_random_archive", lambda: None)
+    lib = _clib.variant("baseline", cache_dir=tmp_path)
+    assert lib.awgn is None and lib.bits is None
+    monkeypatch.setattr(_clib, "variant", lambda *args: lib)
+    with pytest.warns(UserWarning) as record:
+        assert _clib.library.__wrapped__() is lib
+    assert len(record) == 1
+    assert "compiled noise draw is unavailable (numpy.random's libnpyrandom.a was not " \
+           "found); numpy draws" in str(record[0].message)
+    with mock.patch.object(_clib, "pcg64_call", side_effect=AssertionError):
+        got = draws_of(lib)
+    want = draws_of(None)
+    assert all(map(np.array_equal, got[:2], want[:2])) and got[2] == want[2]
+
+
+def test_failed_self_test_leaves_the_draws_to_numpy(builds, monkeypatch):
+    if not builds:
+        pytest.skip("no C compiler")
+    monkeypatch.setattr(_clib, "_self_test", lambda dll: "its self-test failed")
+    with pytest.warns(UserWarning) as record:
+        lib = _clib.library.__wrapped__()
+    assert len(record) == 1
+    assert "compiled noise draw is unavailable (its self-test failed)" in str(record[0].message)
+    assert lib.awgn is None and lib.bits is None
+    with mock.patch.object(_clib, "pcg64_call", side_effect=AssertionError):
+        got = draws_of(lib)
+    want = draws_of(None)
+    assert all(map(np.array_equal, got[:2], want[:2])) and got[2] == want[2]
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -277,6 +277,20 @@ def test_program_whose_header_k_disagrees_exits_2(tmp_path, capsys):
                        "4 information bits\n")
 
 
+def test_program_that_decides_leaf_0_exits_2_naming_the_instruction(tmp_path, capsys):
+    """An R1 left child under a mixed node decides leaf 0 of an N=4 k=3 code."""
+    prog_path = tmp_path / "prog.txt"
+    prog_path.write_text("N=4 k=3 P=1\nF L stage=1\nR1 L stage=1\nG R stage=1\n"
+                         "P-01 R stage=1\nCOMBINE L stage=2\n")
+    llrs = tmp_path / "llr.txt"
+    write_lines(llrs, ["1.0 -1.0 1.0 1.0"])
+    for argv in (("decode", "--in", str(llrs), "--info"), ("bench", "--frames", "4")):
+        rc, out, err = run_cli(capsys, *argv, "--program", str(prog_path))
+        assert (rc, out) == (2, "")
+        assert err == ("fastssc: error: line 3: R1 decides leaf 0, which a code with frozen "
+                       "bits freezes\n")
+
+
 def test_bad_input_files(tmp_path, capsys):
     mask = tmp_path / "mask.txt"
     run_cli(capsys, "construct", "--n-bits", "3", "--k", "5",

@@ -448,12 +448,35 @@ def test_every_opcode_decides_its_information_leaves():
     info = [3, 5, 6, 7, 9, 11, 13, 14, 15, 23, 25, 27, 28, 29, 30, 31]
     assert np.flatnonzero(~prog.spec.frozen_natural).tolist() == info
     assert parse_program(R1_TEXT).spec.k == 2
-    # an R1 left child under a mixed node, which no compiled tree has, leaves
-    # leaf 0 unfrozen: no CodeSpec has that mask
-    odd = parse_program("N=4 k=3 P=1\nF L stage=1\nR1 L stage=1\nG R stage=1\n"
-                        "P-01 R stage=1\nCOMBINE L stage=2\n")
-    with pytest.raises(ValueError, match="must freeze index 0"):
-        odd.spec
+
+
+# an R1 left child under a mixed node, which no compiled tree has: it decides
+# leaf 0, which every code with a frozen bit freezes
+LEAF0_TEXT = ("N=4 k=3 P=1\nF L stage=1\nR1 L stage=1\nG R stage=1\n"
+              "P-01 R stage=1\nCOMBINE L stage=2\n")
+
+
+def test_a_closer_that_decides_leaf_0_is_rejected_at_its_instruction():
+    msg = "R1 decides leaf 0, which a code with frozen bits freezes"
+    with pytest.raises(ProgramFormatError) as e:
+        parse_program(LEAF0_TEXT)
+    assert (e.value.line, str(e.value)) == (3, f"line 3: {msg}")
+    ops_sides = [(Opcode.F, False), (Opcode.R1, False), (Opcode.G, True), (Opcode.P_01, True),
+                 (Opcode.COMBINE, False)]
+    with pytest.raises(ProgramFormatError) as e:
+        parse_program_binary(_raw_binary(2, 3, 1, ops_sides))
+    assert (e.value.pc, str(e.value)) == (1, f"instruction 1: {msg}")
+    # with k = N leaf 0 carries information: the all-R1 code
+    assert parse_program(R1_TEXT).spec.k == 2
+
+
+def test_binary_opcode_values_end_at_the_last_opcode():
+    last = (Opcode.R1, False)
+    assert parse_program_binary(_raw_binary(1, 2, 1, [last])).instructions[0].op is Opcode.R1
+    for value in (len(Opcode), 15):
+        with pytest.raises(ProgramFormatError) as e:
+            parse_program_binary(_raw_binary(1, 2, 1, [last, (value, False)]))
+        assert (e.value.pc, str(e.value)) == (1, f"instruction 1: unknown opcode value {value}")
 
 
 def test_program_derives_the_mask_it_was_compiled_from():
