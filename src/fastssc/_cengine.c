@@ -24,11 +24,25 @@
  * 32 / sizeof(T) lanes, whose values at one index fill a 32-byte vector.  A
  * batch decodes its whole groups of L frames on the wide instance and the
  * rest one frame at a time.  Soft values never leave [-sat, sat], and the
- * working type holds 2*sat, so b +- a is exact before G clips it.
+ * working type holds 2*sat, so b +- a is exact before G clips it.  Where the
+ * build has AVX2 (the x86-64-v3 one), the wide instances move frames in and
+ * out of the lanes by SIMD tile transposes; the scalar tiles serve the
+ * baseline build, other hosts and N below a tile.  The load checks that each
+ * int32 channel value is within [-lim, lim]; a decode returns 1, and stops,
+ * at the first group with one outside.
+ *
+ * encode runs the systematic encoder on rows packed into 64-bit words, one
+ * bit per position: it deposits the information bits at the unfrozen
+ * positions (with BMI2's pdep where the build has it), transforms with
+ * in-word shift-and-mask stages and cross-word XORs, keeps, transforms again
+ * and expands the words back to bytes.
  */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+#if defined(__AVX2__) || defined(__BMI2__)
+#include <immintrin.h>
+#endif
 
 enum { F, G, COMBINE, COMBINE_0R, G_0R, P_R1, P_RSPC, P_01, P_0SPC, ML, REP, REP_SPC, R1 };
 
@@ -55,8 +69,117 @@ int64_t cpu_supports_x86_64_v3(void)
 #endif
 }
 
-/* positions per tile of the lane transposes: one 64-byte line of decisions per frame */
+/* positions per tile of the scalar lane transposes: one 64-byte line of decisions per frame */
 #define BLOCK 64
+
+#ifdef __AVX2__
+typedef __m256i V;
+
+/* Unpack (lo or hi) on 32-byte vectors of size-byte elements */
+static V v_unpack(V a, V b, int size, int hi)
+{
+    switch (size) {
+    case 1: return hi ? _mm256_unpackhi_epi8(a, b) : _mm256_unpacklo_epi8(a, b);
+    case 2: return hi ? _mm256_unpackhi_epi16(a, b) : _mm256_unpacklo_epi16(a, b);
+    case 4: return hi ? _mm256_unpackhi_epi32(a, b) : _mm256_unpacklo_epi32(a, b);
+    default: return hi ? _mm256_unpackhi_epi64(a, b) : _mm256_unpacklo_epi64(a, b);
+    }
+}
+
+/* The transpose of the L x L tile of size-byte elements, L = 32 / size, whose
+ * row i is r[i]: o[t] gets column t.  Rung p = 1, 2, 4, ... of the ladder
+ * unpacks rows i and i + p, its element size doubling from `size` up to 8
+ * bytes.  With H = L / 2, row x then holds columns c and c + H of rows
+ * [0, H), in its low and high 128-bit lane, and row x + H those of rows
+ * [H, L), where c is x with its log2(H) bits reversed; one lane swap per
+ * column finishes.  The rows are overwritten. */
+static void transpose(V *r, V *o, int size)
+{
+    int L = 32 / size, H = L / 2;
+    /* unrolled, so that each unpack's width is a constant */
+#pragma GCC unroll 4
+    for (int g = size, p = 1; g < 16; g *= 2, p *= 2)
+#pragma GCC unroll 32
+        for (int i = 0; i < L; i++)
+            if (!(i & p)) {
+                V a = r[i], b = r[i | p];
+                r[i] = v_unpack(a, b, g, 0);
+                r[i | p] = v_unpack(a, b, g, 1);
+            }
+#pragma GCC unroll 16
+    for (int x = 0; x < H; x++) {
+        int c = 0;
+        for (int bit = 1; bit < H; bit *= 2)
+            c = 2 * c + !!(x & bit);
+        o[c] = _mm256_permute2x128_si256(r[x], r[x + H], 0x20);
+        o[c + H] = _mm256_permute2x128_si256(r[x], r[x + H], 0x31);
+    }
+}
+#endif
+
+/* The load of a wide instance of size-byte values, 32 / size lanes, by SIMD
+ * tile transposes, int32 rows of x packed to the working type (exactly, for
+ * values in range: packs saturates).  Returns 1
+ * where a value is outside [-lim, lim], else 0, or -1 where this build, or
+ * N, has no such load. */
+static int load_simd(const int32_t *x, const int64_t *rev, void *root, int64_t N, int size,
+                     int32_t lim)
+{
+#ifdef __AVX2__
+    int L = 32 / size;
+    if (N >= L) {
+        V r[32], o[32], top = _mm256_set1_epi32(lim), bottom = _mm256_set1_epi32(-lim);
+        V out = _mm256_setzero_si256(); /* all ones where a value is outside */
+        const V order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7); /* packs interleaves lanes */
+        for (int64_t p0 = 0; p0 < N; p0 += L) {
+            for (int j = 0; j < L; j++) {
+                const V *row = (const V *)(x + j * N + p0);
+                V v[4];
+                for (int i = 0; i < 4 / size; i++) {
+                    v[i] = _mm256_loadu_si256(row + i);
+                    out = _mm256_or_si256(out, _mm256_or_si256(_mm256_cmpgt_epi32(v[i], top),
+                                                               _mm256_cmpgt_epi32(bottom, v[i])));
+                }
+                if (size == 2)
+                    v[0] = _mm256_permute4x64_epi64(_mm256_packs_epi32(v[0], v[1]), 0xD8);
+                if (size == 1)
+                    v[0] = _mm256_permutevar8x32_epi32(
+                        _mm256_packs_epi16(_mm256_packs_epi32(v[0], v[1]),
+                                           _mm256_packs_epi32(v[2], v[3])),
+                        order);
+                r[j] = v[0];
+            }
+            transpose(r, o, size);
+            for (int t = 0; t < L; t++)
+                _mm256_storeu_si256((V *)((char *)root + rev[p0 + t] * 32), o[t]);
+        }
+        return !_mm256_testz_si256(out, out);
+    }
+#endif
+    (void)x, (void)rev, (void)root, (void)N, (void)size, (void)lim;
+    return -1;
+}
+
+/* The store of the 32-lane instance's decisions by SIMD tile transposes; 0
+ * where this build, or N, has none. */
+static int store_simd(const uint8_t *beta, const int64_t *rev, uint8_t *out, int64_t N)
+{
+#ifdef __AVX2__
+    if (N >= 32) {
+        V r[32], o[32];
+        for (int64_t p0 = 0; p0 < N; p0 += 32) {
+            for (int t = 0; t < 32; t++)
+                r[t] = _mm256_loadu_si256((const V *)(beta + rev[p0 + t] * 32));
+            transpose(r, o, 1);
+            for (int j = 0; j < 32; j++)
+                _mm256_storeu_si256((V *)(out + j * N + p0), o[j]);
+        }
+        return 1;
+    }
+#endif
+    (void)beta, (void)rev, (void)out, (void)N;
+    return 0;
+}
 
 static void combine(uint8_t *restrict left, const uint8_t *restrict right, int64_t m)
 {
@@ -66,16 +189,22 @@ static void combine(uint8_t *restrict left, const uint8_t *restrict right, int64
 
 /* The element-wise steps of working type T, over m values. */
 #define KERNELS(T)                                                                        \
-    /* F: max(min(a, b), -max(a, b)) */                                                   \
+    /* F: max(min(a, b), -max(a, b)).  F and clip negate into T before they compare:    \
+       compared in int, after C's promotion, each lane would widen; it is exact, as     \
+       every value is in [-sat, sat] */                                                 \
     static void f_##T(const T *restrict a, const T *restrict b, T *restrict out, int64_t m) \
     {                                                                                     \
         for (int64_t i = 0; i < m; i++) {                                                 \
-            T lo = a[i] < b[i] ? a[i] : b[i], hi = a[i] < b[i] ? b[i] : a[i];             \
-            out[i] = lo > -hi ? lo : (T)-hi;                                              \
+            T lo = a[i] < b[i] ? a[i] : b[i], hi = a[i] < b[i] ? b[i] : a[i], nh = (T)-hi; \
+            out[i] = lo > nh ? lo : nh;                                                   \
         }                                                                                 \
     }                                                                                     \
                                                                                           \
-    static T clip_##T(T v, T sat) { return v > sat ? sat : v < -sat ? (T)-sat : v; }      \
+    static T clip_##T(T v, T sat)                                                         \
+    {                                                                                     \
+        T ns = (T)-sat;                                                                   \
+        return v > sat ? sat : v < ns ? ns : v;                                           \
+    }                                                                                     \
                                                                                           \
     /* G: b - a where the left decision is 1, else b + a (left NULL: G-0R), clipped.      \
        With s = -left[i], 0 or all ones, (a ^ s) - s is a or -a, so b +- a takes no       \
@@ -208,26 +337,40 @@ static void combine(uint8_t *restrict left, const uint8_t *restrict right, int64
     }                                                                                     \
                                                                                           \
     /* Channel vectors in, decisions out: transmission position p holds leaf rev[p]  */   \
-    /* (rev is an involution).  Wide instances transpose through a tile of BLOCK     */   \
+    /* (rev is an involution).  Wide instances transpose in tiles by SIMD where the  */   \
+    /* build has AVX2 (load_simd, store_simd), else through a tile of BLOCK          */   \
     /* positions of all L frames, so each frame's row is walked in order and each    */   \
     /* leaf's L values move as one piece; walking whole rows instead touches L rows  */   \
-    /* N apart, or the leaves that rev scatters a block to, in a few cache sets      */   \
-    static void load_##X(const int32_t *x, const int64_t *rev, T *root, int64_t N)        \
+    /* N apart, or the leaves that rev scatters a block to, in a few cache sets.     */   \
+    /* The load returns 1 where a channel value is outside [-lim, lim], else 0       */   \
+    static int load_##X(const int32_t *x, const int64_t *rev, T *root, int64_t N, int32_t lim) \
     {                                                                                     \
         T tile[BLOCK][L];                                                                 \
+        int bad = 0;                                                                      \
         if (L == 1) {                                                                     \
-            for (int64_t i = 0; i < N; i++)                                               \
-                root[i] = (T)x[rev[i]];                                                   \
-            return;                                                                       \
+            for (int64_t i = 0; i < N; i++) {                                             \
+                int32_t v = x[rev[i]];                                                    \
+                bad |= (v < -lim) | (v > lim);                                            \
+                root[i] = (T)v;                                                           \
+            }                                                                             \
+            return bad;                                                                   \
         }                                                                                 \
+        bad = load_simd(x, rev, root, N, (int)sizeof(T), lim);                            \
+        if (bad >= 0)                                                                     \
+            return bad;                                                                   \
+        bad = 0;                                                                          \
         for (int64_t p0 = 0; p0 < N; p0 += BLOCK) {                                       \
             int64_t m = N - p0 < BLOCK ? N - p0 : BLOCK;                                  \
             for (int j = 0; j < L; j++)                                                   \
-                for (int64_t t = 0; t < m; t++)                                           \
-                    tile[t][j] = (T)x[j * N + p0 + t];                                    \
+                for (int64_t t = 0; t < m; t++) {                                         \
+                    int32_t v = x[j * N + p0 + t];                                        \
+                    bad |= (v < -lim) | (v > lim);                                        \
+                    tile[t][j] = (T)v;                                                    \
+                }                                                                         \
             for (int64_t t = 0; t < m; t++)                                               \
                 memcpy(root + rev[p0 + t] * L, tile[t], sizeof tile[t]);                  \
         }                                                                                 \
+        return bad;                                                                       \
     }                                                                                     \
                                                                                           \
     static void store_##X(const uint8_t *beta, const int64_t *rev, uint8_t *out, int64_t N) \
@@ -238,6 +381,8 @@ static void combine(uint8_t *restrict left, const uint8_t *restrict right, int64
                 out[i] = beta[rev[i]];                                                    \
             return;                                                                       \
         }                                                                                 \
+        if (L == 32 && store_simd(beta, rev, out, N))                                     \
+            return;                                                                       \
         for (int64_t p0 = 0; p0 < N; p0 += BLOCK) {                                       \
             int64_t m = N - p0 < BLOCK ? N - p0 : BLOCK;                                  \
             for (int64_t t = 0; t < m; t++)                                               \
@@ -248,34 +393,37 @@ static void combine(uint8_t *restrict left, const uint8_t *restrict right, int64
         }                                                                                 \
     }                                                                                     \
                                                                                           \
-    /* Decode `frames`, a multiple of L, int32 channel vectors into `out` */              \
-    static void run_##X(const int64_t *prog, int64_t count, int64_t N, T sat,             \
-                        int64_t frames, const int32_t *x, const int64_t *rev,            \
-                        uint8_t *out, T *alpha)                                           \
+    /* Decode `frames`, a multiple of L, int32 channel vectors into `out`; returns 1,     \
+       and stops, at the first group with a value outside [-lim, lim] */                  \
+    static int run_##X(const int64_t *prog, int64_t count, int64_t N, T sat, int32_t lim,  \
+                       int64_t frames, const int32_t *x, const int64_t *rev,             \
+                       uint8_t *out, T *alpha)                                            \
     {                                                                                     \
         uint8_t *beta = (uint8_t *)(alpha + 2 * N * L);                                   \
         memset(beta, 0, (size_t)(N * L)); /* an empty (all-frozen) program decides 0s */  \
         for (int64_t f = 0; f < frames; f += L, x += N * L, out += N * L) {               \
-            load_##X(x, rev, alpha + N * L, N);                                           \
+            if (load_##X(x, rev, alpha + N * L, N, lim))                                  \
+                return 1;                                                                 \
             frame_##X(prog, count, sat, alpha, beta);                                     \
             store_##X(beta, rev, out, N);                                                 \
         }                                                                                 \
+        return 0;                                                                         \
     }
 
 /* The decoder entry of working type T: whole groups of WIDE(T) frames on the wide */
 /* instance X, the rest on the one-lane instance; work holds WIDE(T) * N * (2 * sizeof(T) + 1) */
-/* bytes */
+/* bytes.  Returns 1 where a channel value is outside [-lim, lim] (out is then undefined), */
+/* else 0 */
 #define DECODER(T, X)                                                                     \
-    void decode_##T(const int64_t *prog, int64_t count, int64_t n_bits, int64_t sat,      \
-                    int64_t frames, const int32_t *x, const int64_t *rev, uint8_t *out,   \
-                    void *work)                                                           \
+    int64_t decode_##T(const int64_t *prog, int64_t count, int64_t n_bits, int64_t sat,   \
+                       int64_t lim, int64_t frames, const int32_t *x, const int64_t *rev,  \
+                       uint8_t *out, void *work)                                          \
     {                                                                                     \
         int64_t N = (int64_t)1 << n_bits, wide = frames - frames % WIDE(T);               \
-        if (wide)                                                                         \
-            run_##X(prog, count, N, (T)sat, wide, x, rev, out, work);                     \
-        if (frames > wide)                                                                \
-            run_##T(prog, count, N, (T)sat, frames - wide, x + wide * N, rev,             \
-                    out + wide * N, work);                                                \
+        if (wide && run_##X(prog, count, N, (T)sat, (int32_t)lim, wide, x, rev, out, work)) \
+            return 1;                                                                     \
+        return frames > wide && run_##T(prog, count, N, (T)sat, (int32_t)lim, frames - wide, \
+                                        x + wide * N, rev, out + wide * N, work);         \
     }
 
 KERNELS(int8_t)
@@ -291,55 +439,116 @@ DECODER(int8_t, wide_int8_t)
 DECODER(int16_t, wide_int16_t)
 DECODER(int32_t, wide_int32_t)
 
-/* polar._butterfly on one row of n bytes: byte i of each 2h-byte block takes
- * byte i + h.  On little-endian hosts the stages h < 8 shift and mask within
- * 64-bit words, and the stages h >= 8 XOR whole words everywhere; XOR
- * carries nothing between bytes, so the result is the same. */
-static void butterfly(uint8_t *x, int64_t n)
+/* The polar transform of a row of 64-bit words: the stages h < 64 within each
+ * word, where bit i of each 2h-bit block takes bit i + h, and the others
+ * across words, where word j of each 2g-word block takes word j + g */
+static void transform(uint64_t *w, int64_t words)
 {
-    int64_t h = 1;
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    if (n >= 8) {
-        for (int64_t i = 0; i < n; i += 8) {
-            uint64_t w;
-            memcpy(&w, x + i, 8);
-            w ^= (w >> 8) & 0x00FF00FF00FF00FFu;
-            w ^= (w >> 16) & 0x0000FFFF0000FFFFu;
-            w ^= (w >> 32) & 0x00000000FFFFFFFFu;
-            memcpy(x + i, &w, 8);
-        }
-        h = 8;
-    }
-#endif
-    for (; h < n && h < 8; h *= 2)
-        for (int64_t b = 0; b < n; b += 2 * h)
-            for (int64_t i = 0; i < h; i++)
-                x[b + i] ^= x[b + h + i];
-    for (; h < n; h *= 2)
-        for (int64_t b = 0; b < n; b += 2 * h)
-            for (int64_t i = 0; i < h; i += 8) {
-                uint64_t u, v;
-                memcpy(&u, x + b + i, 8);
-                memcpy(&v, x + b + h + i, 8);
-                u ^= v;
-                memcpy(x + b + i, &u, 8);
-            }
+    static const uint64_t M[6] = {0x5555555555555555u, 0x3333333333333333u,
+                                  0x0F0F0F0F0F0F0F0Fu, 0x00FF00FF00FF00FFu,
+                                  0x0000FFFF0000FFFFu, 0x00000000FFFFFFFFu};
+    for (int64_t j = 0; j < words; j++)
+        for (int s = 0; s < 6; s++)
+            w[j] ^= (w[j] >> (1 << s)) & M[s];
+    for (int64_t g = 1; g < words; g *= 2)
+        for (int64_t b = 0; b < words; b += 2 * g)
+            for (int64_t j = b; j < b + g; j++)
+                w[j] ^= w[j + g];
 }
 
-/* polar.encode_systematic on `rows` rows of k bits: zero the row, assign the
- * bits to the unfrozen positions `info` (numpy's fill and index assignment),
- * transform, zero the frozen positions (keep = 0), transform */
-void encode(const uint8_t *a, int64_t k, const int64_t *info, const uint8_t *keep, int64_t n,
-            int64_t rows, uint8_t *out)
+/* Bytes p[0..8) as a little-endian word (compilers merge the loads) */
+static uint64_t load8(const uint8_t *p)
 {
+    return (uint64_t)p[0] | (uint64_t)p[1] << 8 | (uint64_t)p[2] << 16 | (uint64_t)p[3] << 24
+           | (uint64_t)p[4] << 32 | (uint64_t)p[5] << 40 | (uint64_t)p[6] << 48
+           | (uint64_t)p[7] << 56;
+}
+
+/* The moves of a deposit of the low bits of a word at the set bits of m
+ * (Hacker's Delight, 7-5): move[i] marks the bits that shift up by 2^i */
+static void deposit_moves(uint64_t m, uint64_t *move)
+{
+    uint64_t mk = ~m << 1; /* counts the zeros to the right of each bit */
+    for (int i = 0; i < 6; i++) {
+        uint64_t mp = mk ^ (mk << 1);
+        for (int s = 2; s < 64; s *= 2)
+            mp ^= mp << s;
+        move[i] = mp & m;
+        m = (m ^ move[i]) | (move[i] >> (1 << i));
+        mk &= ~mp;
+    }
+}
+
+/* The low popcount(m) bits of x, in order, at the set bits of m */
+static uint64_t deposit(uint64_t x, uint64_t m, const uint64_t *move)
+{
+#ifdef __BMI2__
+    (void)move;
+    return _pdep_u64(x, m);
+#else
+    for (int i = 5; i >= 0; i--)
+        x = (x & ~move[i]) | ((x << (1 << i)) & move[i]);
+    return x & m;
+#endif
+}
+
+/* polar.encode_systematic on `rows` rows of k bits (0/1 bytes), each held as
+ * n bits in W = ceil(n / 64) words, bit i in bit i % 64 of word i / 64: pack
+ * the row's bits, 8 to a multiply, deposit them at the unfrozen positions,
+ * the set bits of the packed keep mask (keep = 1), transform, AND with the
+ * mask, transform, and expand the words to bytes.  work holds 10 * W + 2
+ * words: per word its mask, its 6 moves and the offset of its first bit in
+ * the packed row, then the row's words, and the packed row with two words to
+ * spare. */
+void encode(const uint8_t *a, const uint8_t *keep, int64_t n, int64_t rows, uint8_t *out,
+            uint64_t *work)
+{
+    int64_t W = (n + 63) / 64, k = 0;
+    uint64_t *mask = work, *move = mask + W, *off = move + 6 * W, *w = off + W, *packed = w + W;
+    memset(mask, 0, (size_t)W * 8);
+    for (int64_t i = 0; i < n; i++)
+        mask[i / 64] |= (uint64_t)(keep[i] & 1) << i % 64;
+    for (int64_t j = 0; j < W; j++) {
+        deposit_moves(mask[j], move + 6 * j);
+        off[j] = (uint64_t)k;
+        for (uint64_t m = mask[j]; m; m &= m - 1)
+            k++;
+    }
+    packed[k / 64] = packed[k / 64 + 1] = 0; /* a word's reads may pass the row's end */
     for (int64_t r = 0; r < rows; r++, a += k, out += n) {
-        memset(out, 0, (size_t)n);
-        for (int64_t t = 0; t < k; t++)
-            out[info[t]] = a[t];
-        butterfly(out, n);
-        for (int64_t i = 0; i < n; i++)
-            out[i] = (uint8_t)(out[i] * keep[i]);
-        butterfly(out, n);
+        /* (x & 0x01...01) * 0x0102...80 >> 56 gathers bit 0 of each byte of x */
+        for (int64_t t = 0; t < k; t += 64) {
+            uint64_t v = 0;
+            int64_t e = k - t < 64 ? k - t : 64, i = 0;
+            for (; i + 8 <= e; i += 8)
+                v |= ((load8(a + t + i) & 0x0101010101010101u) * 0x0102040810204080u) >> 56 << i;
+            for (; i < e; i++)
+                v |= (uint64_t)(a[t + i] & 1) << i;
+            packed[t / 64] = v;
+        }
+        for (int64_t j = 0; j < W; j++) {
+            uint64_t o = off[j], x = packed[o / 64] >> o % 64;
+            if (o % 64)
+                x |= packed[o / 64 + 1] << (64 - o % 64);
+            w[j] = deposit(x, mask[j], move + 6 * j);
+        }
+        transform(w, W);
+        for (int64_t j = 0; j < W; j++)
+            w[j] &= mask[j];
+        transform(w, W);
+        if (n < 8) {
+            for (int64_t i = 0; i < n; i++)
+                out[i] = (w[0] >> i) & 1;
+            continue;
+        }
+        /* 8 bits to 8 bytes: each byte of a copy keeps its own bit, and + 0x7F
+           carries a set bit to bit 7 */
+        for (int64_t i = 0; i < n; i += 8) {
+            uint64_t y = ((w[i / 64] >> i % 64 & 0xFF) * 0x0101010101010101u) & 0x8040201008040201u;
+            y = ((y + 0x7F7F7F7F7F7F7F7Fu) >> 7) & 0x0101010101010101u;
+            for (int e = 0; e < 8; e++) /* compilers merge the stores */
+                out[i + e] = (uint8_t)(y >> 8 * e);
+        }
     }
 }
 

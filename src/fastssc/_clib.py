@@ -14,10 +14,12 @@ Where numpy ships numpy.random's static library, numpy/random/lib/
 libnpyrandom.a, the build links it in and compiles the draws of a PCG64
 Generator: the frame bits and the channel noise, whose ziggurat misses run
 numpy's own normal draw.  The key then covers numpy's version and the
-archive's crc32 too.  Each loaded build runs a self-test against numpy's
-draws; with no archive, or a failed self-test, its `awgn` and `bits` are
-None and `draw_error` says why, and `library()` warns once that numpy draws
-the bits and the noise, with the same results.
+archive's crc32 too.  On Linux the link adds -Wl,--exclude-libs,ALL, so
+the library exports none of the archive's functions.  Each loaded build
+runs a self-test against numpy's draws; with no archive, or a failed
+self-test, its `awgn` and `bits` are None and `draw_error` says why, and
+`library()` warns once that numpy draws the bits and the noise, with the
+same results.
 
 With no compiler, or a failed build, `library()` is None, the process warns
 once, and every caller (the fixed-point decoder, the systematic encoder, the
@@ -48,12 +50,12 @@ LEVELS = {"baseline": (), "x86-64-v3": ("-march=x86-64-v3",)}
 
 _P, _I = ctypes.c_void_p, ctypes.c_int64
 _SIGNATURES = {
-    "decode_int8_t": ([_P] + [_I] * 4 + [_P] * 4, None),
-    "decode_int16_t": ([_P] + [_I] * 4 + [_P] * 4, None),
-    "decode_int32_t": ([_P] + [_I] * 4 + [_P] * 4, None),
+    "decode_int8_t": ([_P] + [_I] * 5 + [_P] * 4, _I),
+    "decode_int16_t": ([_P] + [_I] * 5 + [_P] * 4, _I),
+    "decode_int32_t": ([_P] + [_I] * 5 + [_P] * 4, _I),
     "lanes": ([_I], _I),
     "cpu_supports_x86_64_v3": ([], _I),
-    "encode": ([_P, _I, _P, _P, _I, _I, _P], None),
+    "encode": ([_P, _P, _I, _I, _P, _P], None),
     "channel": ([_P, _P, _I, ctypes.c_double, ctypes.c_double], None),
     "quantize": ([_P, _P, _I, ctypes.c_double, ctypes.c_double], _I),
 }
@@ -110,6 +112,8 @@ def variant(level, cc="cc", cache_dir=None):
     archive = _numpy_random_archive()
     if archive is not None:  # linked in whole, so its bytes and numpy's version are keyed
         flags, link = flags + ("-DFASTSSC_NUMPY_RANDOM",), (str(archive), "-lm")
+        if sys.platform.startswith("linux"):  # export none of the archive's own functions
+            flags += ("-Wl,--exclude-libs,ALL",)
         keyed += [np.__version__.encode(), b"%08x" % zlib.crc32(archive.read_bytes())]
     # crc32, not hashlib: importing hashlib alone costs ~3.5 MB of RSS
     key = zlib.crc32(b" ".join([*keyed, *map(str.encode, flags)]))

@@ -17,8 +17,16 @@ and the hard decisions are flat loops over 2^s*L values, and REP, SPC and
 ML4 reduce lane by lane with the one-frame rules.  A batch runs its whole
 groups of L frames there, transposed in and out in tiles, and the rest one
 frame at a time on the L = 1 instance, in a workspace of L*(2N values + N
-decisions).  With no library, fixed point runs on the numpy steps, with
-the same results, and the process warns once.  Float calls always run on
+decisions).  In the x86-64-v3 build the tiles are AVX2 transposes: the
+int32 channel rows pack to the working type, an unpack ladder transposes
+L x L values, and each leaf's L values move in one 32-byte store; the
+int8 decisions come back through the same 32 x 32 byte transpose.  The
+load also checks the channel range, so `execute` runs numpy's
+`check_channel_llrs` over the input only for a dtype that can wrap into
+range in the cast to int32 (int64, uint32, uint64), and raises its
+ValueError, with its text, when the load finds a value outside.  With no
+library, fixed point runs on the numpy steps, with the same results, and
+the process warns once.  Float calls always run on
 numpy: their bit-exactness rests on numpy's pairwise REP summation order
 and BLAS's ML4 `matmul` order, where integer sums are exact in any order.
 
@@ -116,14 +124,17 @@ def execute(program, channel_llrs, quant=None, debug=False):
         raise ValueError(f"expected channel vectors of length {program.N}")
     lead = x.shape[:-1]
     x = x.reshape(-1, program.N)
-    check_channel_llrs(x, quant)
     sat = None if quant is None else quant.internal_limit
+    lib = None if sat is None else _clib.library()
+    # the compiled load checks the range of the int32 values; a dtype that can
+    # wrap into range in the cast to int32 is checked before it
+    if lib is None or x.dtype.kind not in "iu" or not np.can_cast(x.dtype, np.int32):
+        check_channel_llrs(x, quant)
     if debug:
         for pc, ins in enumerate(program.instructions):
             _check_access(ins, program.p, pc)
-    lib = None if sat is None else _clib.library()
     if lib is not None:
-        out = _run_c(lib, program, x, sat)
+        out = _run_c(lib, program, x, quant)
     else:
         key = (x.shape[0], sat)
         plans = program._plans
@@ -224,16 +235,19 @@ def _dtype(sat):
     return np.dtype(np.float64) if sat is None else np.min_scalar_type(-2 * sat)
 
 
-def _run_c(lib, program, x, sat):
-    """Decode (B, N) integer frames in the compiled interpreter."""
+def _run_c(lib, program, x, quant):
+    """Decode (B, N) integer frames in the compiled interpreter, whose load
+    checks that the int32 values are in the channel range."""
     steps, rev = program.table, np.asarray(bit_reverse_permutation(program.n_bits), np.int64)
+    sat = quant.internal_limit
     dtype = _dtype(sat)
-    x = np.ascontiguousarray(x, np.int32)  # in the channel range, so the cast is exact
+    x = np.ascontiguousarray(x, np.int32)  # exact, or checked before (see execute)
     out = np.empty(x.shape, np.uint8)
     work = np.empty(lib.lanes(dtype.itemsize) * program.N * (2 * dtype.itemsize + 1), np.uint8)
-    getattr(lib, f"decode_{dtype.name}_t")(
-        steps.ctypes.data, len(steps), program.n_bits, sat, len(x),
-        x.ctypes.data, rev.ctypes.data, out.ctypes.data, work.ctypes.data)
+    if getattr(lib, f"decode_{dtype.name}_t")(
+            steps.ctypes.data, len(steps), program.n_bits, sat, quant.channel_limit, len(x),
+            x.ctypes.data, rev.ctypes.data, out.ctypes.data, work.ctypes.data):
+        check_channel_llrs(x, quant)  # raises its ValueError
     return out
 
 

@@ -290,8 +290,12 @@ def encode_systematic(a, spec, out=None):
     bit-reversed index space; validity rests on the frozen set being
     downward closed under the binary-submask order, which the reliability
     construction guarantees and which is checked (ValueError otherwise).
-    The C library, when it loads, runs the same steps row by row in one
-    pass, with the same result.
+    The C library, when it loads, runs the same steps row by row on the
+    codeword packed into 64-bit words, one bit per position: it deposits the
+    bits at the set bits of the packed keep mask, transforms with in-word
+    shift-and-mask stages and cross-word XORs, ANDs with the mask,
+    transforms again and expands the words back to bytes, with the same
+    result for 0/1 input.
 
     Parameters
     ----------
@@ -318,9 +322,9 @@ def encode_systematic(a, spec, out=None):
         raise ValueError(f"out must be a C-contiguous uint8 array of shape {shape}")
     lib = _clib.library()
     if lib is not None:
-        a, info = np.ascontiguousarray(a), np.asarray(spec.info_positions, np.int64)
-        lib.encode(a.ctypes.data, spec.k, info.ctypes.data, spec._keep.ctypes.data,
-                   spec.N, out.size // spec.N, out.ctypes.data)
+        a, work = np.ascontiguousarray(a), np.empty(10 * -(-spec.N // 64) + 2, np.uint64)
+        lib.encode(a.ctypes.data, spec._keep.ctypes.data, spec.N, out.size // spec.N,
+                   out.ctypes.data, work.ctypes.data)
         return out
     out.fill(0)
     out[..., spec.info_positions] = a

@@ -73,7 +73,7 @@ def check_channel_llrs(llrs, quant):
     """Raise ValueError unless the array llrs is a decoder's valid input:
     finite floats, or with a scheme integers within its channel range."""
     if quant is not None:
-        if not np.issubdtype(llrs.dtype, np.integer):
+        if llrs.dtype.kind not in "iu":
             raise ValueError("fixed-point decoding expects integer channel LLRs")
         lim = quant.channel_limit
         if llrs.size and (int(llrs.min()) < -lim or int(llrs.max()) > lim):

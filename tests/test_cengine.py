@@ -93,9 +93,34 @@ def test_c_equals_numpy(scheme, builds):
                     assert np.array_equal(execute(prog, frames[5], quant=q), want[5]), level
 
 
+@pytest.mark.parametrize("scheme", ["6:4:0", "7:5:1", "15:12:2", "31:31:0"])  # int8, 16, 32
+def test_c_range_check_equals_numpy(scheme, builds):
+    """The compiled load checks the channel range: a value one past it, in
+    frame 17 (a whole group of lanes) or in frame 69 (the one-lane rest of 70
+    frames), raises numpy's ValueError, with its text."""
+    q = parse_quant(scheme)
+    lim = q.channel_limit
+    prog = compile_tree(build_tree(construct_frozen_set(11, 1200, 0.5), 64))
+    dtype = np.min_scalar_type(-lim - 1)  # the working type's width
+    frames = np.random.default_rng(47).integers(-lim, lim + 1, (70, 2048)).astype(dtype)
+    for frame in (17, 69):
+        for value in (lim + 1, -(lim + 1)):
+            x = frames.copy()
+            x[frame, 1000] = value
+            with on(None), pytest.raises(ValueError) as want:
+                execute(prog, x, quant=q)
+            for level, lib in builds.items():
+                with on(lib), pytest.raises(ValueError) as got:
+                    execute(prog, x, quant=q)
+                assert str(got.value) == str(want.value), (level, frame, value)
+    for level, lib in builds.items():
+        with on(lib):
+            assert execute(prog, frames, quant=q).shape == (70, 2048), level
+
+
 def test_c_encoder_equals_numpy(builds):
     rng = np.random.default_rng(41)
-    for n in range(1, 13):  # N < 8 has no whole 64-bit word
+    for n in range(1, 16):  # N < 64 fills part of one 64-bit word; N = 2^15 has 512
         N = 1 << n
         for spec in (CodeSpec(frozen_mask=np.ones(N, bool)),
                      CodeSpec(frozen_mask=np.zeros(N, bool)),
@@ -271,6 +296,18 @@ def draws_of(lib):
         rng = np.random.default_rng(4)
         x = simulate._random_bits(rng, (6, 70))
         return x, awgn_bpsk_llr(x, 0.9, rng), rng.bit_generator.state
+
+
+def test_library_exports_none_of_numpys_distributions(builds):
+    """Linked with --exclude-libs on Linux, the library keeps numpy.random's
+    archive to itself: none of its functions is exported, and the draws that
+    call them still pass their self-test."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("--exclude-libs is a GNU ld option")
+    for level, lib in builds.items():
+        assert lib.draw_error is None, (level, lib.draw_error)
+        assert not hasattr(lib, "random_beta"), level
+        assert not hasattr(lib, "random_standard_normal"), level
 
 
 def test_missing_archive_leaves_the_draws_to_numpy(builds, tmp_path, monkeypatch):

@@ -151,6 +151,8 @@ def test_input_validation():
         (q8, np.r_[np.zeros(7), 200].astype(np.uint8)),
         (q8, np.r_[np.zeros(7), 2**31 + 5].astype(np.int64)),  # wraps to negative in int32
         (q8, np.r_[np.zeros(7), -(2**40)].astype(np.int64)),
+        (q8, np.r_[np.zeros(7), 2**32 + 1].astype(np.int64)),  # wraps to 1 in int32
+        (q8, np.r_[np.zeros(7), 2**32 - 1].astype(np.uint32)),  # wraps to -1
     ]
     for q, x in bad:
         with pytest.raises(ValueError, match="exceed the"):
