@@ -1,7 +1,8 @@
 /* Compiled batch steps for fastssc: the fixed-point decoder interpreter, the
- * systematic encoder, the AWGN channel arithmetic and the channel quantizer,
- * and, where numpy.random's static library is linked in, the frame bits and
- * the channel noise drawn as numpy's PCG64 Generator draws them.
+ * float decoder's F, G and bit-reversal gathers, the systematic encoder, the
+ * AWGN channel arithmetic and the channel quantizer, and, where numpy.random's
+ * static library is linked in, the frame bits and the channel noise drawn as
+ * numpy's PCG64 Generator draws them.
  *
  * fastssc._clib builds this file with the system C compiler on first use and
  * calls it through ctypes.  Every entry gives the values of the numpy code it
@@ -30,6 +31,10 @@
  * baseline build, other hosts and N below a tile.  The load checks that each
  * int32 channel value is within [-lim, lim]; a decode returns 1, and stops,
  * at the first group with one outside.
+ *
+ * f_rows, g_rows, gather_double and gather_uint8_t are steps of the float
+ * plans that engine._link builds over numpy buffers, one frame per row;
+ * numpy runs the rest of those plans.
  *
  * encode runs the systematic encoder on rows packed into 64-bit words, one
  * bit per position: it deposits the information bits at the unfrozen
@@ -187,18 +192,63 @@ static void combine(uint8_t *restrict left, const uint8_t *restrict right, int64
         left[i] ^= right[i];
 }
 
-/* The element-wise steps of working type T, over m values. */
-#define KERNELS(T)                                                                        \
-    /* F: max(min(a, b), -max(a, b)).  F and clip negate into T before they compare:    \
-       compared in int, after C's promotion, each lane would widen; it is exact, as     \
-       every value is in [-sat, sat] */                                                 \
+/* Rows of n = 2^k values through rev, the bit-reversal permutation: out row r
+ * holds in row r's value rev[i] at i.  rev is an involution, so one gather
+ * brings float channel rows into a plan's natural-order root, and decisions
+ * back out in transmission order (the float plans' and the one-lane
+ * interpreter's).  From n = 64 on it moves 8 x 8 tiles: with i = h*n/8 + m +
+ * l, where h, l < 8 and m is a multiple of 8 below n/8, rev[i] = rev[l] +
+ * rev[m] + rev[h*n/8], so the 8-value runs at out + h*n/8 + m (h < 8) come
+ * from the runs at in + rev[l] + rev[m] (l < 8), and the tile reads each of
+ * its 8 runs whole */
+#if defined(__GNUC__) || defined(__clang__)
+#define PREFETCH(p) __builtin_prefetch(p)
+#else
+#define PREFETCH(p) (void)(p)
+#endif
+#define GATHER(T)                                                                         \
+    void gather_##T(const T *in, const int64_t *rev, T *out, int64_t rows, int64_t n)     \
+    {                                                                                     \
+        int64_t s = n / 8;                                                                \
+        for (int64_t r = 0; r < rows; r++, in += n, out += n) {                           \
+            if (n < 64) {                                                                 \
+                for (int64_t i = 0; i < n; i++)                                           \
+                    out[i] = in[rev[i]];                                                  \
+                continue;                                                                 \
+            }                                                                             \
+            for (int64_t m = 0; m < s; m += 8) {                                          \
+                for (int h = 0; h < 8; h++) {                                             \
+                    const T *run = in + rev[m] + rev[h * s];                              \
+                    if (r + 1 < rows) /* the next row, a run for each run read here */   \
+                        PREFETCH(in + n + 8 * (m + h));                                   \
+                    for (int l = 0; l < 8; l++)                                           \
+                        out[h * s + m + l] = run[rev[l]];                                 \
+                }                                                                         \
+            }                                                                             \
+        }                                                                                 \
+    }
+
+GATHER(double)
+GATHER(uint8_t)
+
+/* F of type T over m values: max(min(a, b), -max(a, b)).  F and clip negate
+   into T before they compare: compared in int, after C's promotion, each lane
+   would widen; it is exact, as every value is in [-sat, sat].  A NaN input
+   gives NaN, as numpy's minimum does; the integer types compile that test out,
+   and selects, not arithmetic, keep the float loop free of branches */
+#define F_OF(T)                                                                           \
     static void f_##T(const T *restrict a, const T *restrict b, T *restrict out, int64_t m) \
     {                                                                                     \
         for (int64_t i = 0; i < m; i++) {                                                 \
-            T lo = a[i] < b[i] ? a[i] : b[i], hi = a[i] < b[i] ? b[i] : a[i], nh = (T)-hi; \
-            out[i] = lo > nh ? lo : nh;                                                   \
+            T x = a[i], y = b[i], lo = x < y ? x : y, hi = x < y ? y : x, nh = (T)-hi;    \
+            T f = lo > nh ? lo : nh;                                                      \
+            out[i] = x != x ? x : y != y ? y : f;                                         \
         }                                                                                 \
-    }                                                                                     \
+    }
+
+/* The other element-wise steps of working type T, over m values. */
+#define KERNELS(T)                                                                        \
+    F_OF(T)                                                                               \
                                                                                           \
     static T clip_##T(T v, T sat)                                                         \
     {                                                                                     \
@@ -377,8 +427,7 @@ static void combine(uint8_t *restrict left, const uint8_t *restrict right, int64
     {                                                                                     \
         uint8_t tile[BLOCK][L];                                                           \
         if (L == 1) {                                                                     \
-            for (int64_t i = 0; i < N; i++)                                               \
-                out[i] = beta[rev[i]];                                                    \
+            gather_uint8_t(beta, rev, out, 1, N);                                         \
             return;                                                                       \
         }                                                                                 \
         if (L == 32 && store_simd(beta, rev, out, N))                                     \
@@ -415,9 +464,9 @@ static void combine(uint8_t *restrict left, const uint8_t *restrict right, int64
 /* bytes.  Returns 1 where a channel value is outside [-lim, lim] (out is then undefined), */
 /* else 0 */
 #define DECODER(T, X)                                                                     \
-    int64_t decode_##T(const int64_t *prog, int64_t count, int64_t n_bits, int64_t sat,   \
-                       int64_t lim, int64_t frames, const int32_t *x, const int64_t *rev,  \
-                       uint8_t *out, void *work)                                          \
+    int64_t decode_##T(const int64_t *prog, int64_t count, const int64_t *rev,            \
+                       int64_t n_bits, int64_t sat, int64_t lim, int64_t frames,          \
+                       const int32_t *x, uint8_t *out, void *work)                        \
     {                                                                                     \
         int64_t N = (int64_t)1 << n_bits, wide = frames - frames % WIDE(T);               \
         if (wide && run_##X(prog, count, N, (T)sat, (int32_t)lim, wide, x, rev, out, work)) \
@@ -438,6 +487,39 @@ INTERPRETER(int32_t, WIDE(int32_t), wide_int32_t)
 DECODER(int8_t, wide_int8_t)
 DECODER(int16_t, wide_int16_t)
 DECODER(int32_t, wide_int32_t)
+
+/* The float F and G of the numpy engine's plans, over `rows` frames of its
+ * (B, 2^s) stage buffers: row r of a step's input holds the halves a and b,
+ * `size` values each, at in + 2*size*r, and its output row starts at out +
+ * size*r; G reads row r's left decisions at left + n*r, in the (B, N)
+ * decision array, and G-0R passes left NULL.  The values are engine._f's and
+ * engine._g's: G is b - a where the left decision is 1, else b + a, with no
+ * clip, so it overflows to +-inf as numpy's does.  A zero's sign may differ
+ * from numpy's; no decision reads it. */
+F_OF(double)
+
+void f_rows(const double *in, double *out, int64_t rows, int64_t size)
+{
+    for (int64_t r = 0; r < rows; r++)
+        f_double(in + 2 * size * r, in + 2 * size * r + size, out + size * r, size);
+}
+
+void g_rows(const double *in, const uint8_t *left, double *out, int64_t rows, int64_t size,
+            int64_t n)
+{
+    for (int64_t r = 0; r < rows; r++) {
+        const double *restrict a = in + 2 * size * r, *restrict b = a + size;
+        double *restrict o = out + size * r;
+        if (!left) {
+            for (int64_t i = 0; i < size; i++)
+                o[i] = b[i] + a[i];
+            continue;
+        }
+        const uint8_t *restrict l = left + n * r;
+        for (int64_t i = 0; i < size; i++)
+            o[i] = b[i] + (l[i] ? -a[i] : a[i]);
+    }
+}
 
 /* The polar transform of a row of 64-bit words: the stages h < 64 within each
  * word, where bit i of each 2h-bit block takes bit i + h, and the others

@@ -22,8 +22,9 @@ self-test, its `awgn` and `bits` are None and `draw_error` says why, and
 same results.
 
 With no compiler, or a failed build, `library()` is None, the process warns
-once, and every caller (the fixed-point decoder, the systematic encoder, the
-AWGN channel and the quantizer) runs its numpy steps, with the same results.
+once, and every caller (the fixed-point decoder, the float decoder's F, G and
+bit-reversal gathers, the systematic encoder, the AWGN channel and the
+quantizer) runs its numpy steps, with the same results.
 Callers look `library` up on this module at each call, so patching it is
 the one switch: tests make it return None for the numpy steps, or one ISA
 level's `variant`.
@@ -49,10 +50,15 @@ _CFLAGS = ("-std=c99", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
 LEVELS = {"baseline": (), "x86-64-v3": ("-march=x86-64-v3",)}
 
 _P, _I = ctypes.c_void_p, ctypes.c_int64
+_DECODE = [_P, _I, _P] + [_I] * 4 + [_P] * 3
 _SIGNATURES = {
-    "decode_int8_t": ([_P] + [_I] * 5 + [_P] * 4, _I),
-    "decode_int16_t": ([_P] + [_I] * 5 + [_P] * 4, _I),
-    "decode_int32_t": ([_P] + [_I] * 5 + [_P] * 4, _I),
+    "decode_int8_t": (_DECODE, _I),
+    "decode_int16_t": (_DECODE, _I),
+    "decode_int32_t": (_DECODE, _I),
+    "f_rows": ([_P, _P, _I, _I], None),
+    "g_rows": ([_P, _P, _P, _I, _I, _I], None),
+    "gather_double": ([_P, _P, _P, _I, _I], None),
+    "gather_uint8_t": ([_P, _P, _P, _I, _I], None),
     "lanes": ([_I], _I),
     "cpu_supports_x86_64_v3": ([], _I),
     "encode": ([_P, _P, _I, _I, _P, _P], None),
@@ -79,9 +85,10 @@ def library(cc="cc", cache_dir=None):
         lib = variant("baseline", cc, cache_dir)
     except _FAILURES as exc:
         # not a RuntimeWarning: where those are errors, the fallback must still run
-        warnings.warn(f"fastssc: the compiled fixed-point interpreter is unavailable ({exc}); "
-                      "fixed point runs on the slower numpy steps, and so do the systematic "
-                      "encoder, the AWGN channel and the quantizer", UserWarning, stacklevel=3)
+        warnings.warn(f"fastssc: the compiled library is unavailable ({exc}); fixed point "
+                      "runs on the slower numpy steps, and so do float F, G and the "
+                      "bit-reversal gathers, the systematic encoder, the AWGN channel and the "
+                      "quantizer", UserWarning, stacklevel=3)
         return None
     if lib.cpu_supports_x86_64_v3():
         try:

@@ -24,28 +24,44 @@ int8 decisions come back through the same 32 x 32 byte transpose.  The
 load also checks the channel range, so `execute` runs numpy's
 `check_channel_llrs` over the input only for a dtype that can wrap into
 range in the cast to int32 (int64, uint32, uint64), and raises its
-ValueError, with its text, when the load finds a value outside.  With no
-library, fixed point runs on the numpy steps, with the same results, and
-the process warns once.  Float calls always run on
-numpy: their bit-exactness rests on numpy's pairwise REP summation order
-and BLAS's ML4 `matmul` order, where integer sums are exact in any order.
+ValueError, with its text, when the load finds a value outside.  Its plan
+is that decoder, bound once to the program's table, the bit-reversal
+permutation (built once per n_bits) and the scheme, for every batch size.
+
+Float calls run the numpy steps below, and where the library loads, their
+heaviest ones are its double-precision entries over the plan's buffers:
+`f_rows` and `g_rows` for every F, G and G-0R and for the G inside P-R1,
+P-RSPC, P-01, P-0SPC and REP-SPC (and REP-SPC's F), `gather_double` to bring
+the input into the plan and `gather_uint8_t` to bring the decisions out.  F
+and G are the numpy formulas, with no clip, so they decide bit for bit as
+numpy's do; only the sign of an intermediate zero may differ, and no
+decision reads it.  REP, SPC, ML4, COMBINE and the hard decisions stay on
+numpy: their float bit-exactness rests on numpy's pairwise REP summation
+order and BLAS's ML4 `matmul` order, where integer sums are exact in any
+order.  With no library, both domains run on the numpy steps, with the same
+results, and the process warns once.
 
 The numpy steps carry a leading frame axis on all buffers, so one pass
-decodes a batch.  The first call for a given batch size B and saturation
-limit (which also fixes the value type) links the program: one walk over
-the instructions binds each one to its operands, views into planned
-buffers, and yields a list of steps.  The plan is cached on the Program;
-later calls of the same shape only gather the input straight into the
-plan, run the steps and gather the decisions into the returned array.  That array is a call's only
-(B, N) allocation, unless the input needs a cast to the working dtype.  A
-plan holds
+decodes a batch.  The first call for a given batch size B, saturation
+limit (which also fixes the value type) and library (or None) links the
+program: one walk over the instructions binds each one to its operands,
+views into planned buffers or, for a C step, their addresses, and yields a
+list of steps.  The plan is cached on the Program, keyed by the library
+too, so a plan linked on one path never serves a call on the other.  A C
+step holds addresses, not arrays, so the plan holds every buffer itself.
+Later calls of the same shape only gather the input straight into the
+plan, run the steps and gather the decisions into the returned array.
+That array is a call's only (B, N) allocation, unless the input needs a
+cast to float64 or the working dtype, or a copy to be contiguous for the
+library's gather.  A plan holds
 
 - one alpha buffer of shape (B, 2^s) per stage s = 0..n, alpha[n] being
   the channel vector in natural (tree) order;
-- one flat scratch buffer of B*N/2 values, the temporary of F.  An F whose
-  (B, 2^s) output is larger than _F_BLOCK_BYTES (256 KB) is one step over
-  blocks of rows that fit it, and uses only the first block's worth of the
-  scratch, so its four passes run in L2 rather than DRAM;
+- one flat scratch buffer of B*N/2 values, the temporary of numpy's F.
+  Such an F whose (B, 2^s) output is larger than _F_BLOCK_BYTES (256 KB) is
+  one step over blocks of rows that fit it, and uses only the first block's
+  worth of the scratch, so its four passes run in L2 rather than DRAM; the
+  library's F is one pass;
 - one natural-order (B, N) beta array, one byte per decision.  The node at
   (start, 2^s) owns beta[:, start:start+2^s], so COMBINE is an in-place XOR
   of its halves, COMBINE-0R a half copy, and merged and leaf steps write
@@ -63,8 +79,8 @@ That is about (2N + N/2)*B*itemsize + N*B bytes.  The plans of the two
 most recent call shapes are kept, and a running call takes its plan out of
 the cache, so concurrent calls never share buffers.  Both paths read each
 instruction's node from `Program.table`, the compiler walk's read-only
-(opcode, stage, start) rows: _link binds its views from them, and the C
-path takes the table as it is, with no plan.
+(opcode, stage, start) rows: _link binds its views from them, and the
+fixed-point C decoder takes the table as it is.
 
 Values are float64 in the float domain.  In fixed point they use the
 narrowest signed integer that holds 2*internal_limit (int8 up to W=7, int16
@@ -72,7 +88,7 @@ up to W=15, int32 up to W=31), so G forms b +- a without widening and then
 clips in place.
 """
 
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -125,53 +141,73 @@ def execute(program, channel_llrs, quant=None, debug=False):
     lead = x.shape[:-1]
     x = x.reshape(-1, program.N)
     sat = None if quant is None else quant.internal_limit
-    lib = None if sat is None else _clib.library()
-    # the compiled load checks the range of the int32 values; a dtype that can
-    # wrap into range in the cast to int32 is checked before it
-    if lib is None or x.dtype.kind not in "iu" or not np.can_cast(x.dtype, np.int32):
+    lib = _clib.library()
+    # the compiled fixed-point load checks the range of the int32 values; a
+    # dtype that can wrap into range in the cast to int32 is checked before it
+    if (sat is None or lib is None or x.dtype.kind not in "iu"
+            or not np.can_cast(x.dtype, np.int32)):
         check_channel_llrs(x, quant)
     if debug:
         for pc, ins in enumerate(program.instructions):
             _check_access(ins, program.p, pc)
-    if lib is not None:
-        out = _run_c(lib, program, x, quant)
-    else:
-        key = (x.shape[0], sat)
-        plans = program._plans
-        plan = plans.pop(key, None)
-        if plan is None:
-            plan = _link(program, *key)
-        try:
-            out = _run(plan, x)
-        finally:
-            plans[key] = plan  # the two most recent shapes stay: a run and its short last batch
-            for old in list(plans)[:-2]:
-                plans.pop(old, None)
+    # the library's fixed-point decoder serves every batch size; the key names
+    # the library, so a plan linked on one path never runs a call on the other
+    bound = sat is not None and lib is not None
+    key = (quant, lib) if bound else (x.shape[0], sat, lib)
+    plans = program._plans
+    plan = plans.pop(key, None)
+    if plan is None:
+        plan = _bind(lib, program, quant) if bound else _link(program, *key)
+    try:
+        out = plan(x)
+    finally:
+        plans[key] = plan  # the two most recent shapes stay: a run and its short last batch
+        for old in list(plans)[:-2]:
+            plans.pop(old, None)
     return out.reshape(lead + (program.N,)) if lead else out[0]
 
 
-def _run(plan, x):
-    steps, root, beta, rev = plan
+@cache
+def _permutation(n_bits):
+    """The read-only int64 bit-reversal permutation of length 2^n_bits, built once."""
+    return np.asarray(bit_reverse_permutation(n_bits), np.int64)
+
+
+def _run(lib, steps, alpha, beta, scratch, x):
+    """One call of a linked plan.  The plan's arguments hold every buffer whose
+    address a C step holds: the stage buffers alpha, the decisions beta and
+    the F scratch."""
+    root, rev = alpha[-1], _permutation(len(alpha) - 1)
     # channel vectors arrive in transmission (bit-reversed) order; the
-    # instruction schedule walks the natural-order tree.  rev is a
-    # permutation, so mode="clip" never clips; mode="raise" would gather into
-    # a buffered copy of root first
-    np.take(x.astype(root.dtype, copy=False), rev, axis=1, out=root, mode="clip")
+    # instruction schedule walks the natural-order tree
+    if lib is None:
+        # rev is a permutation, so mode="clip" never clips; mode="raise" would
+        # gather into a buffered copy of root first
+        np.take(x.astype(root.dtype, copy=False), rev, axis=1, out=root, mode="clip")
+    else:
+        x = np.ascontiguousarray(x, np.float64)
+        lib.gather_double(x.ctypes.data, rev.ctypes.data, root.ctypes.data, *root.shape)
     try:
         for pc, step in enumerate(steps):
             step()
     except Exception as exc:
         raise EngineError(str(exc), pc=pc) from exc
-    return np.take(beta, rev, axis=1).view(np.uint8)
+    if lib is None:
+        return np.take(beta, rev, axis=1).view(np.uint8)
+    out = np.empty(beta.shape, np.uint8)
+    lib.gather_uint8_t(beta.ctypes.data, rev.ctypes.data, out.ctypes.data, *beta.shape)
+    return out
 
 
-def _link(program, batch, sat):
-    """Bind every instruction to views of freshly planned buffers."""
-    n = program.n_bits
+def _link(program, batch, sat, lib):
+    """Bind every instruction to views of freshly planned buffers.  With a
+    library (float only), every F and G, G-0R, the merged steps' G and
+    REP-SPC's F included, is its f_rows or g_rows over the buffers' addresses."""
+    n, N = program.n_bits, program.N
     dtype = _dtype(sat)
     alpha = [np.empty((batch, 1 << s), dtype) for s in range(n + 1)]
     scratch = np.empty(batch << (n - 1), dtype)
-    beta = np.zeros((batch, 1 << n), np.bool_)
+    beta = np.zeros((batch, N), np.bool_)
     minus2 = dtype.type(-2)
     bounds = None if sat is None else (dtype.type(-sat), dtype.type(sat))
     # row scratch of the leaf steps; sums are unsaturated, as in the kernels
@@ -184,21 +220,36 @@ def _link(program, batch, sat):
     def tmp(size):  # F's temporary; also free for leaf and P-* steps
         return scratch[: batch * size].reshape(batch, size)
 
+    def f(up, out, t):
+        """F of the halves of up's rows into out; numpy's uses t, out's shape, as its temporary."""
+        size = out.shape[1]
+        if lib is not None:
+            return partial(lib.f_rows, up.ctypes.data, out.ctypes.data, batch, size)
+        a, b = up[:, :size], up[:, size:]
+        block = max(1, _F_BLOCK_BYTES // (size * dtype.itemsize))
+        fs = [partial(_f, a[i : i + block], b[i : i + block], out[i : i + block],
+                      t[: min(block, batch - i)]) for i in range(0, batch, block)]
+        # narrow: _f itself; wide: one step over blocks that share the first rows of t
+        return fs[0] if len(fs) == 1 else partial(_seq, *fs)
+
+    def g(up, left, out):
+        """G of the halves of up's rows into out, left the decided left sibling (None: G-0R)."""
+        size = out.shape[1]
+        if lib is not None:
+            return partial(lib.g_rows, up.ctypes.data, None if left is None else left.ctypes.data,
+                           out.ctypes.data, batch, size, N)
+        return partial(_g, up[:, :size], up[:, size:], left, out, minus2, bounds)
+
     steps = []
     for op, s, lo in program.table.tolist():
         op, row, size = Opcode(op), OPS[op], 1 << s
         if row.side is not None:
             # descent: stage s child values from the open stage s+1 node
-            a, b = alpha[s + 1][:, :size], alpha[s + 1][:, size:]
             if op is Opcode.F:
-                block, t = max(1, _F_BLOCK_BYTES // (size * dtype.itemsize)), tmp(size)
-                fs = [partial(_f, a[i : i + block], b[i : i + block], alpha[s][i : i + block],
-                              t[: min(block, batch - i)]) for i in range(0, batch, block)]
-                # narrow: _f itself; wide: one step over blocks that share the first rows of t
-                steps.append(fs[0] if len(fs) == 1 else partial(_seq, *fs))
+                steps.append(f(alpha[s + 1], alpha[s], tmp(size)))
             else:
                 left = None if row.zero_left else beta[:, lo - size : lo]  # the left sibling
-                steps.append(partial(_g, a, b, left, alpha[s], minus2, bounds))
+                steps.append(g(alpha[s + 1], left, alpha[s]))
             continue
         mid, hi = lo + size // 2, lo + size
         node, left, right = beta[:, lo:hi], beta[:, lo:mid], beta[:, mid:hi]
@@ -216,18 +267,20 @@ def _link(program, batch, sat):
             # P-* and REP-SPC: G into the free stage s-1 buffer, decide the
             # right child, close the node; REP-SPC first decides its left
             # half, a REP of F
-            a, b, values = alpha[s][:, : size // 2], alpha[s][:, size // 2 :], alpha[s - 1]
+            values = alpha[s - 1]
             if row.parity:
                 decide = partial(_spc, values, right, tmp(size // 2), *rows)
             else:
                 decide = partial(np.less, values, 0, out=right)
-            merged_left = None if row.zero_left else left
-            step = partial(_merged, a, b, merged_left, values, minus2, bounds, decide, left, right)
+            if row.zero_left:
+                merged = [g(alpha[s], None, values), decide, partial(np.copyto, left, right)]
+            else:
+                merged = [g(alpha[s], left, values), decide,
+                          partial(np.bitwise_xor, left, right, out=left)]
             if op is Opcode.REP_SPC:
-                step = partial(_seq, partial(_f, a, b, tmp(4), values),
-                               partial(_rep, tmp(4), left, acc, d), step)
-            steps.append(step)
-    return steps, alpha[n], beta, bit_reverse_permutation(n)
+                merged[:0] = [f(alpha[s], tmp(4), values), partial(_rep, tmp(4), left, acc, d)]
+            steps.append(partial(_seq, *merged))
+    return partial(_run, lib, steps, alpha, beta, scratch)
 
 
 def _dtype(sat):
@@ -235,18 +288,25 @@ def _dtype(sat):
     return np.dtype(np.float64) if sat is None else np.min_scalar_type(-2 * sat)
 
 
-def _run_c(lib, program, x, quant):
+def _bind(lib, program, quant):
+    """The fixed-point plan on the library: its decoder for the working type,
+    bound to the program's table, the permutation and the scheme."""
+    sat, table, dtype = quant.internal_limit, program.table, _dtype(quant.internal_limit)
+    entry = partial(getattr(lib, f"decode_{dtype.name}_t"), table.ctypes.data, len(table),
+                    _permutation(program.n_bits).ctypes.data, program.n_bits, sat,
+                    quant.channel_limit)
+    work = lib.lanes(dtype.itemsize) * program.N * (2 * dtype.itemsize + 1)
+    return partial(_run_c, entry, work, quant, table)
+
+
+def _run_c(entry, work, quant, table, x):
     """Decode (B, N) integer frames in the compiled interpreter, whose load
-    checks that the int32 values are in the channel range."""
-    steps, rev = program.table, np.asarray(bit_reverse_permutation(program.n_bits), np.int64)
-    sat = quant.internal_limit
-    dtype = _dtype(sat)
+    checks that the int32 values are in the channel range.  The plan holds the
+    table whose address entry holds; the permutation's is held by its cache."""
     x = np.ascontiguousarray(x, np.int32)  # exact, or checked before (see execute)
     out = np.empty(x.shape, np.uint8)
-    work = np.empty(lib.lanes(dtype.itemsize) * program.N * (2 * dtype.itemsize + 1), np.uint8)
-    if getattr(lib, f"decode_{dtype.name}_t")(
-            steps.ctypes.data, len(steps), program.n_bits, sat, quant.channel_limit, len(x),
-            x.ctypes.data, rev.ctypes.data, out.ctypes.data, work.ctypes.data):
+    work = np.empty(work, np.uint8)
+    if entry(len(x), x.ctypes.data, out.ctypes.data, work.ctypes.data):
         check_channel_llrs(x, quant)  # raises its ValueError
     return out
 
@@ -271,17 +331,6 @@ def _g(a, b, beta_l, out, minus2, bounds):
         np.add(out, b, out=out)
     if bounds is not None:
         np.clip(out, *bounds, out=out)
-
-
-def _merged(a, b, beta_l, values, minus2, bounds, decide, left, right):
-    """P-R1 / P-RSPC / REP-SPC (beta_l is the decided left half) and P-01 /
-    P-0SPC (beta_l None): G into values, decide() the right half, close."""
-    _g(a, b, beta_l, values, minus2, bounds)
-    decide()
-    if beta_l is None:
-        np.copyto(left, right)
-    else:
-        np.bitwise_xor(left, right, out=left)
 
 
 def _spc(values, dst, mag, parity, least, frames):

@@ -11,6 +11,7 @@ which is also what a missing compiler or a failed build gives, there with a
 UserWarning.
 """
 
+import gc
 import os
 import shutil
 import subprocess
@@ -91,6 +92,47 @@ def test_c_equals_numpy(scheme, builds):
                                 (level, n, rules, b)
                     # a single vector
                     assert np.array_equal(execute(prog, frames[5], quant=q), want[5]), level
+
+
+FLOAT_BATCHES = (0, 1, 3, 7, 128)
+
+
+def float_frames(family, n, rng):
+    """128 float frames: noise, dense in exact zeros of both signs, or near
+    +-1e308, where G overflows to +-inf and inf - inf gives NaN further down."""
+    shape = (128, 1 << n)
+    if family == "noise":
+        return rng.normal(0.5, 2.0, shape)
+    if family == "zeros":
+        return rng.choice([-2.5, -1.0, -0.0, 0.0, 0.0, 0.75, 3.0], shape)
+    return rng.choice([-1.7e308, -1e308, -6e307, 6e307, 1e308, 1.7e308, 1.0, -0.0], shape)
+
+
+@pytest.mark.parametrize("family", ["noise", "zeros", "huge"])
+def test_c_float_equals_numpy(family, builds):
+    """Float F, G and the gathers in the library decide as the numpy steps
+    do, on every build, batch shape and rule set, for a single vector,
+    float32 and strided input too.  Only the sign of an intermediate zero
+    may differ, and no decision reads it.  Each call is held to numpy's call
+    on the same input: near 1e308, numpy's ML4 matmul rounds the overflow
+    differently at B = 1 and B = 128."""
+    rng = np.random.default_rng(sum(map(ord, family)))
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy's steps warn near 1e308
+        for n, spec in sweep_codes():
+            for rules in RULES:
+                prog = compile_tree(build_tree(spec, 64, rules_from_names(rules)))
+                x = float_frames(family, n, rng)
+                calls = [x[:b] for b in FLOAT_BATCHES] + [x[5]]
+                if family != "huge":  # float32 holds these values
+                    calls.append(x.astype(np.float32))
+                want = [numpy_execute(prog, v, None) for v in calls]
+                calls.append(np.repeat(x, 2, axis=1)[:, ::2])  # strided, x's values
+                want.append(want[len(FLOAT_BATCHES) - 1])
+                for level, lib in builds.items():
+                    with on(lib):
+                        for v, ref in zip(calls, want):
+                            assert np.array_equal(execute(prog, v), ref), \
+                                (level, n, rules, v.shape, v.dtype, v.strides)
 
 
 @pytest.mark.parametrize("scheme", ["6:4:0", "7:5:1", "15:12:2", "31:31:0"])  # int8, 16, 32
@@ -477,25 +519,21 @@ def test_fallback_warns_once_per_process(tmp_path):
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stderr.count("UserWarning: fastssc: the compiled fixed-point interpreter is "
-                            "unavailable (no C compiler 'cc' on PATH)") == 1
+    assert run.stderr.count("UserWarning: fastssc: the compiled library is unavailable "
+                            "(no C compiler 'cc' on PATH)") == 1
     assert run.stderr.count("Warning") == 1
 
 
-def test_concurrent_calls_on_the_c_path():
-    q = parse_quant("16:12:2")
-    prog = compile_tree(build_tree(construct_frozen_set(11, 1200, 0.5), 64))
-    rng = np.random.default_rng(23)
-    inputs = [rng.integers(-q.channel_limit, q.channel_limit + 1, (128, 2048)).astype(np.int32)
-              for _ in range(2)]
-    serial = [numpy_execute(prog, x, q) for x in inputs]
+def decode_concurrently(prog, inputs, serial, quant=None):
+    """Two threads, each decoding its input 30 times at a 10-us switch
+    interval; returns each thread's count of outputs that differ from serial."""
     barrier = threading.Barrier(2, timeout=30)
     wrong = [0, 0]
 
     def worker(i):
         barrier.wait()
         for _ in range(30):
-            wrong[i] += not np.array_equal(execute(prog, inputs[i], quant=q), serial[i])
+            wrong[i] += not np.array_equal(execute(prog, inputs[i], quant=quant), serial[i])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -508,4 +546,70 @@ def test_concurrent_calls_on_the_c_path():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert wrong == [0, 0]
+    return wrong
+
+
+def test_concurrent_calls_on_the_c_path():
+    q = parse_quant("16:12:2")
+    prog = compile_tree(build_tree(construct_frozen_set(11, 1200, 0.5), 64))
+    rng = np.random.default_rng(23)
+    inputs = [rng.integers(-q.channel_limit, q.channel_limit + 1, (128, 2048)).astype(np.int32)
+              for _ in range(2)]
+    serial = [numpy_execute(prog, x, q) for x in inputs]
+    assert decode_concurrently(prog, inputs, serial, q) == [0, 0]
+
+
+def test_concurrent_float_calls_on_the_c_path():
+    """Each running call takes its plan out of the cache, so the two threads'
+    C steps, which run without the GIL, never share a buffer."""
+    prog = compile_tree(build_tree(construct_frozen_set(11, 1200, 0.5), 64))
+    rng = np.random.default_rng(24)
+    inputs = [rng.normal(0.5, 2.0, (128, 2048)) for _ in range(2)]
+    serial = [numpy_execute(prog, x, None) for x in inputs]
+    assert decode_concurrently(prog, inputs, serial) == [0, 0]
+
+
+def test_float_plans_hold_their_buffers(builds):
+    """A C step holds buffer addresses, not arrays, so its plan holds the
+    arrays.  Decoding stays exact after other shapes evict a plan and the
+    collector runs, and a plan taken out of its program, with every other
+    reference dropped and the freed memory reused, still decodes."""
+    prog = compile_tree(build_tree(construct_frozen_set(11, 1200, 0.5), 64))
+    x = np.random.default_rng(25).normal(0.5, 2.0, (16, 2048))
+    want = numpy_execute(prog, x, None)
+    for level, lib in builds.items():
+        with on(lib):
+            for b in (16, 5, 3, 16, 1, 7, 16):  # two plans are kept: each shape evicts
+                assert np.array_equal(execute(prog, x[:b]), want[:b]), (level, b)
+                gc.collect()
+            prog._plans.clear()
+            execute(prog, x)
+            (plan,) = prog._plans.values()
+            prog._plans.clear()
+            gc.collect()
+            reused = [np.full((16, 1 << s), np.nan) for s in range(12)]
+            assert np.array_equal(plan(x), want), level
+            del reused
+
+
+def test_library_patched_away_runs_the_numpy_steps(builds, monkeypatch):
+    """Plans are cached per library: with `_clib.library` patched to None
+    mid-process, a shape already linked on the library runs the numpy
+    steps, and patched back it runs the library's plan again."""
+    q = parse_quant("7:5:1")
+    prog = compile_tree(build_tree(construct_frozen_set(10, 600, 0.5), 64))
+    x = np.random.default_rng(26).normal(0.5, 2.0, (8, 1024))
+    g, calls = engine._g, []
+    monkeypatch.setattr(engine, "_g", lambda *args: calls.append(1) or g(*args))
+    for level, lib in builds.items():
+        for quant, v in ((None, x), (q, quantize_channel(x, q))):
+            with on(lib):
+                want = execute(prog, v, quant=quant)
+            assert not calls, level
+            with on(None):
+                assert np.array_equal(execute(prog, v, quant=quant), want), (level, quant)
+            assert calls, (level, quant)
+            calls.clear()
+            with on(lib):
+                assert np.array_equal(execute(prog, v, quant=quant), want), (level, quant)
+            assert not calls, (level, quant)

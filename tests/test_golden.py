@@ -122,13 +122,16 @@ def packed_hex(beta):
 
 
 @pytest.mark.parametrize("name", ["ga", "ml"])
-def test_zero_llr_decisions_match_recorded(name, monkeypatch):
+def test_zero_llr_decisions_match_recorded(name, builds, monkeypatch):
     prog = golden_program(name)
     x, xi = zero_tie_frames()
     want_float, want_fixed = ZERO_TIE_OUTPUTS[name]
     assert packed_hex(execute(prog, x)) == want_float
     assert packed_hex(execute(prog, xi, quant=QuantScheme(6, 4, 1))) == want_fixed
-    monkeypatch.setattr(_clib, "library", lambda: None)  # the numpy path
-    assert packed_hex(execute(prog, xi, quant=QuantScheme(6, 4, 1))) == want_fixed
-    # one frame at a time gives the same decisions as the batch
-    assert packed_hex([execute(prog, row) for row in x[:4]]) == want_float[:4]
+    # on each compiled build, and on the numpy steps alone
+    for lib in [*builds.values(), None]:
+        monkeypatch.setattr(_clib, "library", lambda: lib)
+        assert packed_hex(execute(prog, x)) == want_float
+        assert packed_hex(execute(prog, xi, quant=QuantScheme(6, 4, 1))) == want_fixed
+        # one frame at a time gives the same decisions as the batch
+        assert packed_hex([execute(prog, row) for row in x[:4]]) == want_float[:4]

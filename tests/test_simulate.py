@@ -283,9 +283,9 @@ def test_each_batch_shape_links_once(monkeypatch):
     linked = []
     link = engine._link
 
-    def spy(program, batch, sat):
+    def spy(program, batch, *args):
         linked.append(batch)
-        return link(program, batch, sat)
+        return link(program, batch, *args)
 
     monkeypatch.setattr(engine, "_link", spy)
     cfg = SimConfig(spec=construct_frozen_set(8, 128, 0.5), ebno_db=(1.0, 2.0, 3.0),
