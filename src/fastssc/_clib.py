@@ -1,14 +1,14 @@
 """The compiled batch steps, `_cengine.c`, built on first use and loaded through ctypes.
 
-The first call of `library()` in a process compiles the source with the
-system C compiler (`cc -O3 -ffp-contract=off`, no -march=native) into the
-per-user cache directory (~/.cache/fastssc, or $XDG_CACHE_HOME/fastssc;
-~/Library/Caches/fastssc on macOS) and loads it; later processes load the
-cached file.  The baseline build comes first.  Where its
-`cpu_supports_x86_64_v3()` probe passes, an `-march=x86-64-v3` build is made
-and loaded in its place.  Each file is named by a key over the source, the
-flags (the ISA level's included) and the machine type, so a cache shared
-between CPUs stays safe.
+The first call of `library()` in a process (threads that race it wait for
+that one call) compiles the source with the system C compiler (`cc -O3
+-ffp-contract=off`, no -march=native) into the per-user cache directory
+(~/.cache/fastssc, or $XDG_CACHE_HOME/fastssc; ~/Library/Caches/fastssc on
+macOS) and loads it; later processes load the cached file.  The baseline
+build comes first.  Where its `cpu_supports_x86_64_v3()` probe passes, an
+`-march=x86-64-v3` build is made and loaded in its place.  Each file is
+named by a key over the source, the flags (the ISA level's included) and
+the machine type, so a cache shared between CPUs stays safe.
 
 Where numpy ships numpy.random's static library, numpy/random/lib/
 libnpyrandom.a, the build links it in and compiles the draws of a PCG64
@@ -37,9 +37,10 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 import zlib
-from functools import cache
+from functools import cache, wraps
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +77,19 @@ _M64 = (1 << 64) - 1
 _SELF_TEST_SEED = 19  # its 4097 normals after 4097 bits hold 4 tail values, |z| > 3.654
 
 
-@cache
+def _once(fn):
+    """functools.cache under a lock: concurrent first calls run fn once, so
+    threads that race the first `library()` build once and warn once."""
+    cached, lock = cache(fn), threading.Lock()
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        with lock:
+            return cached(*args, **kwargs)
+    return call
+
+
+@_once
 def library(cc="cc", cache_dir=None):
     """The fastest loadable build, or None, with a UserWarning that names the
     reason, when none can be built or loaded.  cc and cache_dir let tests
@@ -88,18 +101,18 @@ def library(cc="cc", cache_dir=None):
         warnings.warn(f"fastssc: the compiled library is unavailable ({exc}); fixed point "
                       "runs on the slower numpy steps, and so do float F, G and the "
                       "bit-reversal gathers, the systematic encoder, the AWGN channel and the "
-                      "quantizer", UserWarning, stacklevel=3)
+                      "quantizer", UserWarning, stacklevel=4)
         return None
     if lib.cpu_supports_x86_64_v3():
         try:
             lib = variant("x86-64-v3", cc, cache_dir)
         except _FAILURES as exc:
             warnings.warn(f"fastssc: the x86-64-v3 build is unavailable ({exc}); "
-                          "the baseline build runs", UserWarning, stacklevel=3)
+                          "the baseline build runs", UserWarning, stacklevel=4)
     if lib.draw_error:
         warnings.warn(f"fastssc: the compiled noise draw is unavailable ({lib.draw_error}); "
                       "numpy draws the frame bits and the channel noise", UserWarning,
-                      stacklevel=3)
+                      stacklevel=4)
     return lib
 
 

@@ -37,8 +37,9 @@ and G are the numpy formulas, with no clip, so they decide bit for bit as
 numpy's do; only the sign of an intermediate zero may differ, and no
 decision reads it.  REP, SPC, ML4, COMBINE and the hard decisions stay on
 numpy: their float bit-exactness rests on numpy's pairwise REP summation
-order and BLAS's ML4 `matmul` order, where integer sums are exact in any
-order.  With no library, both domains run on the numpy steps, with the same
+order, where integer sums are exact in any order.  ML4 writes out its four
+scores as the C interpreter does, so a frame decides the same in any batch.
+With no library, both domains run on the numpy steps, with the same
 results, and the process warns once.
 
 The numpy steps carry a leading frame axis on all buffers, so one pass
@@ -215,7 +216,6 @@ def _link(program, batch, sat, lib):
     d = np.empty((batch, 1), np.bool_)
     rows = (np.empty(batch, np.uint8), np.empty(batch, np.intp), np.arange(batch))
     scores = np.empty((batch, 4), acc.dtype)
-    signs = (1 - 2 * ML4_CODEWORDS.astype(np.int64)).T.astype(acc.dtype)
 
     def tmp(size):  # F's temporary; also free for leaf and P-* steps
         return scratch[: batch * size].reshape(batch, size)
@@ -262,7 +262,7 @@ def _link(program, batch, sat, lib):
         elif op is Opcode.REP:
             steps.append(partial(_rep, alpha[s], node, acc, d))
         elif op is Opcode.ML:
-            steps.append(partial(_ml4, alpha[s], node, scores, signs, rows[1]))
+            steps.append(partial(_ml4, alpha[s], node, scores, rows[1]))
         else:
             # P-* and REP-SPC: G into the free stage s-1 buffer, decide the
             # right child, close the node; REP-SPC first decides its left
@@ -354,9 +354,15 @@ def _seq(*steps):
         step()
 
 
-def _ml4(values, dst, scores, signs, pick):
-    """Correlation ML, equals decode_ml4: the earliest best of the four candidates."""
-    np.matmul(values, signs, out=scores)
+def _ml4(values, dst, scores, pick):
+    """Correlation ML, equals decode_ml4: the earliest best of the four
+    candidates' scores s + t, -(s + t), s - t and t - s, with s and t the
+    unsaturated sums of the halves."""
+    st = scores[:, 1::2]  # s and t, then -(s + t) and -(s - t) = t - s
+    np.add.reduce(values.reshape(-1, 2, 2), axis=2, dtype=scores.dtype, out=st)
+    np.add(st[:, 0], st[:, 1], out=scores[:, 0])
+    np.subtract(st[:, 0], st[:, 1], out=scores[:, 2])
+    np.negative(scores[:, ::2], out=st)
     np.argmax(scores, axis=1, out=pick)
     np.take(ML4_CODEWORDS.view(np.bool_), pick, axis=0, out=dst, mode="clip")
 

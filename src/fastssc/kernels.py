@@ -14,7 +14,6 @@ import numpy as np
 ML4_CODEWORDS = np.array(
     [[0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0]], dtype=np.uint8
 )
-_ML4_SIGNS = (1 - 2 * ML4_CODEWORDS.astype(np.int64)).T
 
 
 def _halves(v):
@@ -132,14 +131,16 @@ def decode_ml4(alpha):
     """Exhaustive correlation decoding over the four length-4 candidates.
 
     Returns the codeword maximizing sum((1-2c)*alpha); ties pick the
-    earliest candidate in ML4_CODEWORDS order.
+    earliest candidate in ML4_CODEWORDS order.  With s = a0 + a1 and
+    t = a2 + a3, summed in int64 or float64, the four scores are s + t,
+    -(s + t), s - t and t - s, so a frame's decision does not depend on
+    the others in its batch.
     """
     alpha = np.asarray(alpha)
     if alpha.shape[-1] != 4:
         raise ValueError(f"expected length 4, got {alpha.shape[-1]}")
-    if np.issubdtype(alpha.dtype, np.integer):
-        scores = alpha.astype(np.int64) @ _ML4_SIGNS
-    else:
-        scores = alpha @ _ML4_SIGNS.astype(np.float64)
-    pick = np.argmax(scores, axis=-1)
-    return ML4_CODEWORDS[pick]
+    acc = np.int64 if np.issubdtype(alpha.dtype, np.integer) else np.float64
+    s = np.add(alpha[..., 0], alpha[..., 1], dtype=acc)
+    t = np.add(alpha[..., 2], alpha[..., 3], dtype=acc)
+    scores = np.stack([s + t, -(s + t), s - t, t - s], axis=-1)
+    return ML4_CODEWORDS[np.argmax(scores, axis=-1)]

@@ -280,7 +280,7 @@ def construct_frozen_set(n_bits, k, design_sigma2):
     return CodeSpec(frozen_mask=frozen, design_sigma2=design_sigma2)
 
 
-def encode_systematic(a, spec, out=None):
+def encode_systematic(a, spec):
     """Systematically encode information bits, batched over leading axes.
 
     The bits land at the unfrozen positions of the codeword, ascending, in
@@ -301,13 +301,10 @@ def encode_systematic(a, spec, out=None):
     ----------
     a : array_like of 0/1, shape (..., k)
     spec : CodeSpec
-    out : ndarray of uint8, shape (..., N), C-contiguous, optional
-        Receives the codewords; its previous contents are ignored.  By
-        default a fresh array is returned.
 
     Returns
     -------
-    ndarray of uint8, shape (..., N); `out` when given.
+    ndarray of uint8, shape (..., N), a fresh array.
     """
     a = np.asarray(a, dtype=np.uint8)
     if a.shape[-1] != spec.k:
@@ -315,11 +312,7 @@ def encode_systematic(a, spec, out=None):
     if not spec._downward_closed:
         raise ValueError("systematic encoding needs a frozen set that is downward "
                          "closed under the binary-submask order")
-    shape = a.shape[:-1] + (spec.N,)
-    if out is None:
-        out = np.empty(shape, dtype=np.uint8)
-    elif out.shape != shape or out.dtype != np.uint8 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous uint8 array of shape {shape}")
+    out = np.empty(a.shape[:-1] + (spec.N,), dtype=np.uint8)
     lib = _clib.library()
     if lib is not None:
         a, work = np.ascontiguousarray(a), np.empty(10 * -(-spec.N // 64) + 2, np.uint64)

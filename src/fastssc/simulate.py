@@ -5,11 +5,16 @@ channel, decoded with the compiled engine, and scored on information bits.
 Every batch derives its RNG stream from (seed, point index, batch index)
 and batches are consumed strictly in index order, so aggregate counts are
 reproducible for any worker count, and byte-identical CSV output only
-excludes the wall-clock throughput column.
+excludes the wall-clock throughput column.  With workers > 1 the batches
+run on a pool of threads.  Where the compiled library loads, a fixed-point
+batch runs its draws, encoder, channel, quantizer and decoder in it, with
+the GIL released, so the threads run in parallel; a float decode still
+dispatches most of its steps from Python, and gains little.  A batch forms
+fresh arrays, so concurrent batches and runs share no buffers.
 """
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import starmap
@@ -37,17 +42,15 @@ def ebno_to_sigma2(ebno_db, rate):
     return sigma2
 
 
-def awgn_bpsk_llr(x, sigma, rng, out=None):
+def awgn_bpsk_llr(x, sigma, rng):
     """Modulate bits to +-1, add white Gaussian noise, return channel LLRs.
 
-    LLR_i = 2 y_i / sigma^2 with y = (1 - 2 x) + n, n ~ N(0, sigma^2).
-
-    out, a C-contiguous float64 array of x's shape, receives the LLRs when
-    given; they are formed in place with the same rounding, so the values do
-    not depend on it.  Where the C library loads, it forms them in one pass
-    with the same rounding, and where rng is a Generator over PCG64 it also
-    draws the noise, the values numpy's `standard_normal` would draw, with
-    the same state left behind.  Other generators draw through numpy.
+    LLR_i = 2 y_i / sigma^2 with y = (1 - 2 x) + n, n ~ N(0, sigma^2), in a
+    fresh float64 array of x's shape.  Where the C library loads, it forms
+    them in one pass with the same rounding, and where rng is a Generator
+    over PCG64 it also draws the noise, the values numpy's `standard_normal`
+    would draw, with the same state left behind.  Other generators draw
+    through numpy.
     """
     # ebno_to_sigma2's rule: a finite, positive sigma with a finite LLR scale 2/sigma^2
     sigma2 = sigma * sigma
@@ -55,10 +58,7 @@ def awgn_bpsk_llr(x, sigma, rng, out=None):
         raise ValueError(f"sigma must be finite and positive, with a finite 2/sigma^2; "
                          f"got {sigma}")
     x = np.asarray(x)
-    if out is None:
-        out = np.empty(x.shape)
-    elif out.shape != x.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {x.shape}")
+    out = np.empty(x.shape)
     lib = _clib.library()
     if lib is None:
         y = rng.standard_normal(out=out)
@@ -143,15 +143,15 @@ def run_simulation(config):
     program = compile_tree(build_tree(spec, config.p, config.rules))
     cycles = estimate_latency(program)
     rate = spec.k / spec.N
-    bound = (program, config.quant, min(config.batch_size, config.max_frames))
+    batch = partial(_sim_batch, program, config.quant)
     results = []
     pool = None
     try:
         if config.workers > 1:
-            pool = ProcessPoolExecutor(config.workers, initializer=_init_worker, initargs=bound)
-            decode = partial(_in_order, pool, 2 * config.workers)
+            pool = ThreadPoolExecutor(config.workers)
+            decode = partial(_in_order, pool, 2 * config.workers, batch)
         else:
-            decode = partial(starmap, _bind_batch(*bound))
+            decode = partial(starmap, batch)
         for point_idx, ebno in enumerate(config.ebno_db):
             sigma2 = ebno_to_sigma2(ebno, rate)
             t0 = time.perf_counter()
@@ -195,12 +195,12 @@ def _run_point(config, point_idx, sigma2, decode):
     return frames, bit_err, frame_err
 
 
-def _in_order(pool, depth, jobs):
-    """Pool results of jobs in job order, with up to depth jobs in flight."""
+def _in_order(pool, depth, fn, jobs):
+    """fn's results on the pool's threads in job order, with up to depth jobs in flight."""
     futures = []
     try:
         for job in jobs:
-            futures.append(pool.submit(_pool_task, *job))
+            futures.append(pool.submit(fn, *job))
             if len(futures) == depth:
                 yield futures.pop(0).result()
         while futures:
@@ -210,43 +210,20 @@ def _in_order(pool, depth, jobs):
             fut.cancel()
 
 
-_WORK = {}
-
-
-def _init_worker(program, quant, rows):
-    _WORK["batch"] = _bind_batch(program, quant, rows)
-
-
-def _pool_task(*job):
-    return _WORK["batch"](*job)
-
-
-def _bind_batch(program, quant, rows):
-    """_sim_batch bound to a program, a scheme and one reused (rows, N) workspace."""
-    shape = (rows, program.N)
-    work = np.empty(shape, np.uint8), np.empty(shape), np.empty(shape, np.uint8)
-    return partial(_sim_batch, program, quant, work)
-
-
-def _sim_batch(program, quant, work, entropy, sigma, size):
+def _sim_batch(program, quant, entropy, sigma, size):
     """Decode one batch of random frames; returns (size, bit errors, frame errors).
 
-    The codewords, the LLRs and the wrong decisions are formed in the first
-    `size` rows of the workspace; the drawn bits, the quantized LLRs and the
-    decisions are fresh arrays.  Systematic codewords carry the bits at the
-    unfrozen positions, so a decision there is wrong where it differs from
-    the codeword.
+    Systematic codewords carry the bits at the unfrozen positions, so a
+    decision there is wrong where it differs from the codeword.  The drawn
+    bits, the codewords and the decisions are left as they were formed.
     """
     spec = program.spec
-    codewords, llr, wrong = (w[:size] for w in work)
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
-    a = _random_bits(rng, (size, spec.k))
-    x = encode_systematic(a, spec, out=codewords)
-    llr = awgn_bpsk_llr(x, sigma, rng, out=llr)
+    x = encode_systematic(_random_bits(rng, (size, spec.k)), spec)
+    llr = awgn_bpsk_llr(x, sigma, rng)
     if quant is not None:
         llr = quantize_channel(llr, quant)
-    beta = execute(program, llr, quant)
-    np.bitwise_xor(beta, x, out=wrong)
+    wrong = execute(program, llr, quant) ^ x
     wrong &= spec._keep
     return size, int(np.count_nonzero(wrong)), int(np.count_nonzero(wrong.any(axis=1)))
 

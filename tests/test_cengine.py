@@ -497,7 +497,8 @@ def test_failed_build_is_recorded(tmp_path):
 
 def test_fallback_warns_once_per_process(tmp_path):
     """With no compiler and an empty cache, a process warns once, however
-    many fixed-point calls it makes, even where every warning is shown."""
+    many fixed-point calls it makes, even where every warning is shown.  Its
+    first call is a pooled simulation, whose threads race the first load."""
     script = (
         "import warnings; warnings.simplefilter('always')\n"
         "import numpy as np\n"
@@ -505,7 +506,9 @@ def test_fallback_warns_once_per_process(tmp_path):
         "from fastssc.engine import execute\n"
         "from fastssc.polar import construct_frozen_set, encode_systematic\n"
         "from fastssc.quantize import parse_quant, quantize_channel\n"
-        "from fastssc.simulate import awgn_bpsk_llr\n"
+        "from fastssc.simulate import SimConfig, awgn_bpsk_llr, run_simulation\n"
+        "run_simulation(SimConfig(spec=construct_frozen_set(5, 20, 0.5), ebno_db=(2.0,), "
+        "quant=parse_quant('7:5:1'), max_frames=32, batch_size=8, workers=4))\n"
         "prog = compile_tree(build_tree(construct_frozen_set(5, 20, 0.5), 64))\n"
         "for _ in range(3):\n"
         "    x = encode_systematic(np.zeros((2, 20), np.uint8), prog.spec)\n"

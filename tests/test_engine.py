@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from fastssc import _clib
 from fastssc.compiler import (
     NodeRuleSet,
     Opcode,
@@ -13,6 +14,7 @@ from fastssc.compiler import (
     rules_from_names,
 )
 from fastssc.engine import EngineError, execute
+from fastssc.kernels import decode_ml4
 from fastssc.polar import (
     CodeSpec,
     construct_frozen_set,
@@ -172,6 +174,26 @@ def test_ml_instruction_executes():
     llr = 5.0 * (1.0 - 2.0 * x) + 0.8 * rng.standard_normal(x.shape)
     assert np.array_equal(execute(prog, llr), sc_decode(llr, spec))
     assert np.array_equal(execute(prog, 4.0 * (1.0 - 2.0 * x)), x)
+
+
+@pytest.mark.parametrize("lib", ["default", None])
+def test_ml4_decides_a_frame_alone_as_in_a_batch(lib, monkeypatch):
+    # near 1e308 the scores overflow: s + t = -6e307, s - t = -inf, t - s = inf,
+    # with s and t the sums of the natural-order halves; a matrix product of
+    # the frame with the candidates' signs decided 1010 alone, 1111 in a batch
+    if lib is None:
+        monkeypatch.setattr(_clib, "library", lambda: None)
+    prog = compile_tree(build_tree(CodeSpec(frozen_mask=np.array([True, True, False, False])),
+                                   16))
+    assert [str(i) for i in prog.instructions] == ["ML L stage=2"]
+    frame = np.array([-0.0, -6e307, -1.7e308, 1.7e308])
+    natural = frame[[0, 2, 1, 3]]  # N = 4: bit reversal swaps positions 1 and 2
+    with np.errstate(over="ignore"):
+        assert np.array_equal(execute(prog, frame), [1, 0, 1, 0])
+        assert np.array_equal(decode_ml4(natural), [1, 1, 0, 0])
+        for b in (2, 128):
+            assert (execute(prog, np.tile(frame, (b, 1))) == [1, 0, 1, 0]).all()
+            assert (decode_ml4(np.tile(natural, (b, 1))) == [1, 1, 0, 0]).all()
 
 
 def test_degenerate_codes():

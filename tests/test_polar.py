@@ -1,4 +1,3 @@
-import tracemalloc
 import zlib
 from functools import partial, reduce
 
@@ -287,57 +286,12 @@ def test_systematic_round_trip_random():
         assert not u[:, spec.frozen_mask].any()
 
 
-def test_systematic_out_buffer_equals_fresh_result():
-    rng = np.random.default_rng(32)
-    # a mask that is not downward closed gives no codewords: refused, with
-    # or without a buffer
-    odd = rng.random(64) < 0.3
+def test_systematic_refuses_a_mask_that_is_not_downward_closed():
+    # such a mask gives no codewords
+    odd = np.random.default_rng(32).random(64) < 0.3
     odd[0] = True
-    for out in (None, np.zeros((7, 64), np.uint8)):
-        with pytest.raises(ValueError, match="downward closed"):
-            encode_systematic(np.zeros((7, 64 - odd.sum()), np.uint8), CodeSpec(frozen_mask=odd),
-                              out=out)
-    specs = [construct_frozen_set(n, k, 0.5) for n, k in ((2, 3), (3, 5), (6, 40), (11, 1723))]
-    for spec in specs:
-        n, k = spec.n_bits, spec.k
-        for lead in ((), (7,), (2, 3)):
-            a = rng.integers(0, 2, size=lead + (k,), dtype=np.uint8)
-            want = encode_systematic(a, spec)
-            buf = np.full(lead + (1 << n,), 0xFF, dtype=np.uint8)  # stale contents
-            got = encode_systematic(a, spec, out=buf)
-            assert got is buf
-            assert np.array_equal(got, want)
-            # a partial-batch view of a larger workspace
-            if lead == (7,):
-                work = np.full((9, 1 << n), 0xFF, dtype=np.uint8)
-                assert np.array_equal(encode_systematic(a, spec, out=work[:7]), want)
-                assert (work[7:] == 0xFF).all()
-
-
-def test_systematic_out_allocates_little():
-    # encoding into out makes no temporary as large as it
-    spec = construct_frozen_set(15, 29492, 0.5)
-    a = np.random.default_rng(33).integers(0, 2, size=(128, spec.k), dtype=np.uint8)
-    out = np.empty((128, spec.N), np.uint8)
-    encode_systematic(a, spec, out=out)  # caches the spec's info positions and keep mask
-    tracemalloc.start()
-    try:
-        encode_systematic(a, spec, out=out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < out.nbytes / 4, peak
-    for i in (0, 37, 127):  # the first, a middle and the last row
-        assert np.array_equal(out[i], encode_systematic(a[i], spec))
-
-
-def test_systematic_out_validation():
-    spec = construct_frozen_set(4, 10, 0.5)
-    a = np.zeros((3, 10), dtype=np.uint8)
-    for bad in (np.zeros((3, 8), np.uint8), np.zeros((3, 16), np.int64),
-                np.zeros((16, 3), np.uint8).T):
-        with pytest.raises(ValueError):
-            encode_systematic(a, spec, out=bad)
+    with pytest.raises(ValueError, match="downward closed"):
+        encode_systematic(np.zeros((7, 64 - odd.sum()), np.uint8), CodeSpec(frozen_mask=odd))
 
 
 def test_systematic_shape_validation():

@@ -1,5 +1,7 @@
+import os
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,37 +105,14 @@ def test_awgn_equals_original_formula():
             want = parent_awgn(x, sigma, np.random.default_rng(11))
             got = awgn_bpsk_llr(x, sigma, np.random.default_rng(11))
             assert np.array_equal(got, want)
-            buf = np.full(x.shape, np.nan)
-            assert awgn_bpsk_llr(x, sigma, np.random.default_rng(11), out=buf) is buf
-            assert np.array_equal(buf, want)
-    with pytest.raises(ValueError):
-        awgn_bpsk_llr(bits, 1.0, np.random.default_rng(0), out=np.empty((3, 5, 32)))
-
-
-def test_awgn_rejects_out_that_is_not_c_contiguous_float64(builds, monkeypatch):
-    """On the numpy steps and on each compiled build, before anything is drawn.
-
-    A transposed (F-order) buffer of the right shape once paired LLRs with the
-    wrong bits on the compiled path, which walks `out`'s memory in x's order.
-    """
-    x = np.random.default_rng(3).integers(0, 2, size=(4, 8), dtype=np.uint8)
-    bad = (np.empty((8, 4)).T, np.empty((4, 16))[:, ::2], np.empty((4, 8), np.float32),
-           np.empty((4, 8), np.int64))
-    for lib in [None, *builds.values()]:
-        monkeypatch.setattr(_clib, "library", lambda: lib)
-        for out in bad:
-            rng = np.random.default_rng(0)
-            state = rng.bit_generator.state
-            with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
-                awgn_bpsk_llr(x, 0.5, rng, out=out)
-            assert rng.bit_generator.state == state
 
 
 def reference_run(cfg):
-    """(frames, bit errors, frame errors) per point from fresh arrays in every batch.
+    """(frames, bit errors, frame errors) per point, scored from the information bits.
 
     Re-derives the batch schedule and per-batch RNG streams of run_simulation
-    without its workspace; the stop rules are those of the serial path.
+    with the original channel formula; the stop rules are those of the serial
+    path.
     """
     spec = cfg.spec
     program = compile_tree(build_tree(spec, cfg.p, cfg.rules))
@@ -163,8 +142,8 @@ def counts(results):
 
 @pytest.mark.parametrize("quant", [None, QuantScheme(7, 5, 1)])
 def test_partial_last_batch_matches_fresh_arrays(quant):
-    # 200 = 3 * 64 + 8: the last batch uses 8 rows of the 64-row workspace;
-    # max_frames below batch_size sizes the workspace by max_frames
+    # 200 = 3 * 64 + 8: the last batch has 8 rows; max_frames below
+    # batch_size gives one short batch per point
     for max_frames, batch in ((200, 64), (40, 64)):
         cfg = small_config(ebno_db=(1.5, 2.5), quant=quant, max_frames=max_frames,
                            batch_size=batch, min_frame_errors=10_000)
@@ -184,14 +163,16 @@ def test_two_specs_alternate_in_one_process():
 
 
 def test_concurrent_runs_give_serial_csv():
-    # one code and batch size, so buffers keyed by shape would be shared
+    # one code and batch size, so buffers keyed by shape would be shared; the
+    # first run's batches also run on four threads of its own
     configs = [
-        small_config(ebno_db=(2.0, 3.0), max_frames=600, min_frame_errors=10_000),
+        small_config(ebno_db=(2.0, 3.0), max_frames=600, min_frame_errors=10_000, workers=4),
         small_config(ebno_db=(2.0,), quant=QuantScheme(7, 5, 1), max_frames=600,
                      min_frame_errors=10_000),
         small_config(ebno_db=(2.5,), seed=6, max_frames=600, min_frame_errors=10_000),
     ]
-    want = [results_to_csv(run_simulation(c), include_throughput=False) for c in configs]
+    want = [results_to_csv(run_simulation(replace(c, workers=1)), include_throughput=False)
+            for c in configs]
     got = [[] for _ in configs]
 
     def worker(i):
@@ -266,15 +247,35 @@ def test_workers_match_serial():
     # three points stop on frame errors after 1, 3 and 16 batches, each with
     # later batches still in flight in the pool
     staggered = dict(ebno_db=(1.0, 2.0, 3.0), min_frame_errors=20)
-    # max_frames below batch_size: one short batch per point
+    # max_frames below batch_size: one short batch per point, so that at
+    # workers=8 most threads get no batch
     short = dict(ebno_db=(1.5, 2.5), max_frames=40, min_frame_errors=10_000)
     frames = []
     for cfg in ({}, partial, staggered, short):
         serial = run_simulation(small_config(workers=1, **cfg))
-        pooled = run_simulation(small_config(workers=2, **cfg))
-        assert counts(pooled) == counts(serial)
+        for workers in (2, 8):
+            pooled = run_simulation(small_config(workers=workers, **cfg))
+            assert counts(pooled) == counts(serial)
+            assert (results_to_csv(pooled, include_throughput=False)
+                    == results_to_csv(serial, include_throughput=False))
         frames.append([c[0] for c in counts(serial)])
     assert frames[1:] == [[300, 300], [64, 192, 1024], [40, 40]]
+
+
+def test_pooled_batches_see_the_callers_patches(monkeypatch):
+    # the pool's workers are threads of this process: a wrapper patched onto
+    # the module runs for every batch, in this process
+    pids = []
+
+    def recorded(*args, **kwargs):
+        pids.append(os.getpid())
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "execute", recorded)
+    cfg = small_config(ebno_db=(1.5, 2.5), max_frames=300, min_frame_errors=10_000,
+                       workers=2)
+    assert [r.frames for r in run_simulation(cfg)] == [300, 300]
+    assert pids == [os.getpid()] * 10  # 5 batches per point
 
 
 def test_each_batch_shape_links_once(monkeypatch):
