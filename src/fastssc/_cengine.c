@@ -34,7 +34,8 @@
  *
  * f_rows, g_rows, gather_double and gather_uint8_t are steps of the float
  * plans that engine._link builds over numpy buffers, one frame per row;
- * numpy runs the rest of those plans.
+ * numpy runs the rest of those plans.  gather_double checks the float limit
+ * of the input, as the fixed-point load checks the channel range.
  *
  * encode runs the systematic encoder on rows packed into 64-bit words, one
  * bit per position: it deposits the information bits at the unfrozen
@@ -200,49 +201,62 @@ static void combine(uint8_t *restrict left, const uint8_t *restrict right, int64
  * l, where h, l < 8 and m is a multiple of 8 below n/8, rev[i] = rev[l] +
  * rev[m] + rev[h*n/8], so the 8-value runs at out + h*n/8 + m (h < 8) come
  * from the runs at in + rev[l] + rev[m] (l < 8), and the tile reads each of
- * its 8 runs whole */
+ * its 8 runs whole.  gather_double returns 1 where a value it moves is outside
+ * [-lim, lim], NaN included */
 #if defined(__GNUC__) || defined(__clang__)
 #define PREFETCH(p) __builtin_prefetch(p)
 #else
 #define PREFETCH(p) (void)(p)
 #endif
-#define GATHER(T)                                                                         \
-    void gather_##T(const T *in, const int64_t *rev, T *out, int64_t rows, int64_t n)     \
-    {                                                                                     \
-        int64_t s = n / 8;                                                                \
-        for (int64_t r = 0; r < rows; r++, in += n, out += n) {                           \
-            if (n < 64) {                                                                 \
-                for (int64_t i = 0; i < n; i++)                                           \
-                    out[i] = in[rev[i]];                                                  \
-                continue;                                                                 \
+#define GATHER_ROWS(T, CHECK)                                                             \
+    for (int64_t s = n / 8, r = 0; r < rows; r++, in += n, out += n) {                    \
+        if (n < 64) {                                                                     \
+            for (int64_t i = 0; i < n; i++) {                                             \
+                T v = in[rev[i]];                                                         \
+                CHECK(v);                                                                 \
+                out[i] = v;                                                               \
             }                                                                             \
-            for (int64_t m = 0; m < s; m += 8) {                                          \
-                for (int h = 0; h < 8; h++) {                                             \
-                    const T *run = in + rev[m] + rev[h * s];                              \
-                    if (r + 1 < rows) /* the next row, a run for each run read here */   \
-                        PREFETCH(in + n + 8 * (m + h));                                   \
-                    for (int l = 0; l < 8; l++)                                           \
-                        out[h * s + m + l] = run[rev[l]];                                 \
+            continue;                                                                     \
+        }                                                                                 \
+        for (int64_t m = 0; m < s; m += 8) {                                              \
+            for (int h = 0; h < 8; h++) {                                                 \
+                const T *run = in + rev[m] + rev[h * s];                                  \
+                if (r + 1 < rows) /* the next row, a run for each run read here */       \
+                    PREFETCH(in + n + 8 * (m + h));                                       \
+                for (int l = 0; l < 8; l++) {                                             \
+                    T v = run[rev[l]];                                                    \
+                    CHECK(v);                                                             \
+                    out[h * s + m + l] = v;                                               \
                 }                                                                         \
             }                                                                             \
         }                                                                                 \
     }
 
-GATHER(double)
-GATHER(uint8_t)
+int64_t gather_double(const double *in, const int64_t *rev, double *out, int64_t rows,
+                      int64_t n, double lim)
+{
+    int64_t bad = 0;
+#define OUTSIDE(v) bad |= !(fabs(v) <= lim)
+    GATHER_ROWS(double, OUTSIDE)
+#undef OUTSIDE
+    return bad;
+}
+
+void gather_uint8_t(const uint8_t *in, const int64_t *rev, uint8_t *out, int64_t rows, int64_t n)
+{
+    GATHER_ROWS(uint8_t, (void))
+}
 
 /* F of type T over m values: max(min(a, b), -max(a, b)).  F and clip negate
    into T before they compare: compared in int, after C's promotion, each lane
-   would widen; it is exact, as every value is in [-sat, sat].  A NaN input
-   gives NaN, as numpy's minimum does; the integer types compile that test out,
-   and selects, not arithmetic, keep the float loop free of branches */
+   would widen; it is exact, as every value is in [-sat, sat].  The float F
+   needs no NaN rule: within the gather's limit no step makes a NaN */
 #define F_OF(T)                                                                           \
     static void f_##T(const T *restrict a, const T *restrict b, T *restrict out, int64_t m) \
     {                                                                                     \
         for (int64_t i = 0; i < m; i++) {                                                 \
             T x = a[i], y = b[i], lo = x < y ? x : y, hi = x < y ? y : x, nh = (T)-hi;    \
-            T f = lo > nh ? lo : nh;                                                      \
-            out[i] = x != x ? x : y != y ? y : f;                                         \
+            out[i] = lo > nh ? lo : nh;                                                   \
         }                                                                                 \
     }
 
@@ -494,8 +508,8 @@ DECODER(int32_t, wide_int32_t)
  * size*r; G reads row r's left decisions at left + n*r, in the (B, N)
  * decision array, and G-0R passes left NULL.  The values are engine._f's and
  * engine._g's: G is b - a where the left decision is 1, else b + a, with no
- * clip, so it overflows to +-inf as numpy's does.  A zero's sign may differ
- * from numpy's; no decision reads it. */
+ * clip; within gather_double's limit no G overflows.  A zero's sign may
+ * differ from numpy's; no decision reads it. */
 F_OF(double)
 
 void f_rows(const double *in, double *out, int64_t rows, int64_t size)

@@ -58,7 +58,7 @@ _SIGNATURES = {
     "decode_int32_t": (_DECODE, _I),
     "f_rows": ([_P, _P, _I, _I], None),
     "g_rows": ([_P, _P, _P, _I, _I, _I], None),
-    "gather_double": ([_P, _P, _P, _I, _I], None),
+    "gather_double": ([_P, _P, _P, _I, _I, ctypes.c_double], _I),
     "gather_uint8_t": ([_P, _P, _P, _I, _I], None),
     "lanes": ([_I], _I),
     "cpu_supports_x86_64_v3": ([], _I),

@@ -32,15 +32,17 @@ Float calls run the numpy steps below, and where the library loads, their
 heaviest ones are its double-precision entries over the plan's buffers:
 `f_rows` and `g_rows` for every F, G and G-0R and for the G inside P-R1,
 P-RSPC, P-01, P-0SPC and REP-SPC (and REP-SPC's F), `gather_double` to bring
-the input into the plan and `gather_uint8_t` to bring the decisions out.  F
-and G are the numpy formulas, with no clip, so they decide bit for bit as
-numpy's do; only the sign of an intermediate zero may differ, and no
-decision reads it.  REP, SPC, ML4, COMBINE and the hard decisions stay on
-numpy: their float bit-exactness rests on numpy's pairwise REP summation
-order, where integer sums are exact in any order.  ML4 writes out its four
-scores as the C interpreter does, so a frame decides the same in any batch.
-With no library, both domains run on the numpy steps, with the same
-results, and the process warns once.
+the input into the plan and `gather_uint8_t` to bring the decisions out.
+The input gather checks each value against the float limit of
+`check_channel_llrs`, in place of its min and max pass.  Within it no float
+step overflows, so F has no NaN rule.  F and G are the numpy formulas, with
+no clip, so they decide bit for bit as numpy's do; only the sign of an
+intermediate zero may differ, and no decision reads it.  REP, SPC, ML4,
+COMBINE and the hard decisions stay on numpy: their float bit-exactness
+rests on numpy's pairwise REP summation order, where integer sums are exact
+in any order.  ML4 writes out its four scores as the C interpreter does, so
+a frame decides the same in any batch.  With no library, both domains run
+on the numpy steps, with the same results, and the process warns once.
 
 The numpy steps carry a leading frame axis on all buffers, so one pass
 decodes a batch.  The first call for a given batch size B, saturation
@@ -102,7 +104,7 @@ from .kernels import (  # noqa: F401
     g_op, hd_op,
 )
 from .polar import bit_reverse_permutation
-from .quantize import check_channel_llrs
+from .quantize import check_channel_llrs, float_limit
 
 
 # An F whose (B, 2^s) output exceeds this many bytes runs over row blocks
@@ -125,7 +127,8 @@ def execute(program, channel_llrs, quant=None, debug=False):
     ----------
     program : Program
     channel_llrs : array_like, shape (..., N)
-        Finite floats, or already-quantized integers when quant is given.
+        Floats within the float limit 2^(1023 - n) (`check_channel_llrs`), or
+        already-quantized integers when quant is given.
     quant : QuantScheme, optional
         Selects the saturating fixed-point domain.
     debug : bool
@@ -143,17 +146,18 @@ def execute(program, channel_llrs, quant=None, debug=False):
     x = x.reshape(-1, program.N)
     sat = None if quant is None else quant.internal_limit
     lib = _clib.library()
-    # the compiled fixed-point load checks the range of the int32 values; a
-    # dtype that can wrap into range in the cast to int32 is checked before it
-    if (sat is None or lib is None or x.dtype.kind not in "iu"
-            or not np.can_cast(x.dtype, np.int32)):
+    bound = sat is not None and lib is not None
+    # the library's loads check the values they read, the fixed-point one as
+    # int32 and the float one as float64; a dtype that those casts may change
+    # is checked here
+    load = np.int32 if bound else np.float64
+    if lib is None or x.dtype.kind == "b" or not np.can_cast(x.dtype, load):
         check_channel_llrs(x, quant)
     if debug:
         for pc, ins in enumerate(program.instructions):
             _check_access(ins, program.p, pc)
     # the library's fixed-point decoder serves every batch size; the key names
     # the library, so a plan linked on one path never runs a call on the other
-    bound = sat is not None and lib is not None
     key = (quant, lib) if bound else (x.shape[0], sat, lib)
     plans = program._plans
     plan = plans.pop(key, None)
@@ -187,7 +191,9 @@ def _run(lib, steps, alpha, beta, scratch, x):
         np.take(x.astype(root.dtype, copy=False), rev, axis=1, out=root, mode="clip")
     else:
         x = np.ascontiguousarray(x, np.float64)
-        lib.gather_double(x.ctypes.data, rev.ctypes.data, root.ctypes.data, *root.shape)
+        if lib.gather_double(x.ctypes.data, rev.ctypes.data, root.ctypes.data, *root.shape,
+                             float_limit(x.shape[1])):
+            check_channel_llrs(x, None)  # raises its ValueError
     try:
         for pc, step in enumerate(steps):
             step()

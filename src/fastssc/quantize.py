@@ -70,17 +70,35 @@ def parse_quant(text):
 
 
 def check_channel_llrs(llrs, quant):
-    """Raise ValueError unless the array llrs is a decoder's valid input:
-    finite floats, or with a scheme integers within its channel range."""
+    """Raise ValueError unless the array llrs of (..., N) channel vectors is a
+    decoder's valid input: with a scheme, integers within its channel range;
+    without, floats within float_limit(N), which NaN and +-inf fail, so that no
+    float step overflows and the library's F needs no NaN rule.  With the
+    library, a float `execute` checks the limit in its input gather and calls
+    this only to raise."""
     if quant is not None:
         if llrs.dtype.kind not in "iu":
             raise ValueError("fixed-point decoding expects integer channel LLRs")
         lim = quant.channel_limit
         if llrs.size and (int(llrs.min()) < -lim or int(llrs.max()) > lim):
             raise ValueError(f"channel LLRs exceed the +-{lim} channel range")
-    # min and max carry any NaN or infinity, with no mask of llrs' shape
-    elif llrs.size and not (np.isfinite(llrs.min()) and np.isfinite(llrs.max())):
-        raise ValueError("channel LLRs must be finite (found NaN or infinity)")
+    elif llrs.size:
+        # min and max carry any NaN or infinity, with no mask of llrs' shape
+        lo, hi = llrs.min(), llrs.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError("channel LLRs must be finite (found NaN or infinity)")
+        n, lim = llrs.shape[-1].bit_length() - 1, float_limit(llrs.shape[-1])
+        if lo < -lim or hi > lim:
+            raise ValueError(f"channel LLRs exceed the +-2^{1023 - n} (~{lim:.4g}) float "
+                             f"limit at N = {1 << n}")
+
+
+def float_limit(N):
+    """The largest |float channel LLR| of a length-N decode, 2^(1023 - log2 N),
+    as a float64, so that a float32 compares with it uncast.  A G at most
+    doubles a magnitude, once per stage, and a REP or ML4 sum at stage s adds
+    2^s values, so within it no float step overflows."""
+    return np.float64(2.0 ** (1024 - N.bit_length()))
 
 
 def quantize_channel(llr, scheme):

@@ -19,8 +19,8 @@ def sc_decode(channel_llrs, spec, quant=None):
     Parameters
     ----------
     channel_llrs : array_like, shape (..., N)
-        Transmission-order soft values: finite floats, or integers in the
-        channel range when quant is given.
+        Transmission-order soft values: floats within the float limit
+        2^(1023 - n), or integers in the channel range when quant is given.
     spec : CodeSpec
     quant : QuantScheme, optional
         Enables saturating fixed-point arithmetic in the g update.

@@ -30,6 +30,7 @@ from fastssc.polar import (
     CodeSpec, bit_reverse_permutation, construct_frozen_set, encode_systematic,
 )
 from fastssc.quantize import parse_quant, quantize_channel
+from fastssc.reference import sc_decode
 from fastssc.simulate import awgn_bpsk_llr
 
 SCHEMES = ["6:4:0", "7:5:1", "8:8:0", "16:12:2", "31:31:0"]  # int8, int8, int16, int32, int32
@@ -98,14 +99,16 @@ FLOAT_BATCHES = (0, 1, 3, 7, 128)
 
 
 def float_frames(family, n, rng):
-    """128 float frames: noise, dense in exact zeros of both signs, or near
-    +-1e308, where G overflows to +-inf and inf - inf gives NaN further down."""
+    """128 float frames: noise, dense in exact zeros of both signs, or huge:
+    up to the float limit 2^(1023 - n), where a G at every stage reaches 2^1023."""
     shape = (128, 1 << n)
     if family == "noise":
         return rng.normal(0.5, 2.0, shape)
     if family == "zeros":
         return rng.choice([-2.5, -1.0, -0.0, 0.0, 0.0, 0.75, 3.0], shape)
-    return rng.choice([-1.7e308, -1e308, -6e307, 6e307, 1e308, 1.7e308, 1.0, -0.0], shape)
+    huge = rng.choice([-1.0, -0.6, -0.35, 0.35, 0.6, 1.0], shape) * 2.0 ** (1023 - n)
+    huge[:, ::7] = rng.choice([1.0, -0.0], huge[:, ::7].shape)
+    return huge
 
 
 @pytest.mark.parametrize("family", ["noise", "zeros", "huge"])
@@ -113,26 +116,66 @@ def test_c_float_equals_numpy(family, builds):
     """Float F, G and the gathers in the library decide as the numpy steps
     do, on every build, batch shape and rule set, for a single vector,
     float32 and strided input too.  Only the sign of an intermediate zero
-    may differ, and no decision reads it.  Each call is held to numpy's call
-    on the same input: near 1e308, numpy's ML4 matmul rounds the overflow
-    differently at B = 1 and B = 128."""
+    may differ, and no decision reads it.  Huge frames, at the float limit,
+    overflow no step, so neither path warns (RuntimeWarnings are errors
+    here); the next double above the limit fails on both paths with one
+    ValueError that names the limit."""
     rng = np.random.default_rng(sum(map(ord, family)))
-    with np.errstate(over="ignore", invalid="ignore"):  # numpy's steps warn near 1e308
-        for n, spec in sweep_codes():
-            for rules in RULES:
-                prog = compile_tree(build_tree(spec, 64, rules_from_names(rules)))
-                x = float_frames(family, n, rng)
-                calls = [x[:b] for b in FLOAT_BATCHES] + [x[5]]
-                if family != "huge":  # float32 holds these values
-                    calls.append(x.astype(np.float32))
-                want = [numpy_execute(prog, v, None) for v in calls]
-                calls.append(np.repeat(x, 2, axis=1)[:, ::2])  # strided, x's values
-                want.append(want[len(FLOAT_BATCHES) - 1])
-                for level, lib in builds.items():
-                    with on(lib):
-                        for v, ref in zip(calls, want):
-                            assert np.array_equal(execute(prog, v), ref), \
-                                (level, n, rules, v.shape, v.dtype, v.strides)
+    for n, spec in sweep_codes():
+        for rules in RULES:
+            prog = compile_tree(build_tree(spec, 64, rules_from_names(rules)))
+            x = float_frames(family, n, rng)
+            calls = [x[:b] for b in FLOAT_BATCHES] + [x[5]]
+            if family != "huge":  # float32 holds these values
+                calls.append(x.astype(np.float32))
+            want = [numpy_execute(prog, v, None) for v in calls]
+            calls.append(np.repeat(x, 2, axis=1)[:, ::2])  # strided, x's values
+            want.append(want[len(FLOAT_BATCHES) - 1])
+            for level, lib in builds.items():
+                with on(lib):
+                    for v, ref in zip(calls, want):
+                        assert np.array_equal(execute(prog, v), ref), \
+                            (level, n, rules, v.shape, v.dtype, v.strides)
+            if family != "huge":
+                continue
+            above = x[:3].copy()
+            above[1, -1] = np.nextafter(2.0 ** (1023 - n), np.inf)
+            for lib in [None, *builds.values()]:
+                with on(lib), pytest.raises(ValueError, match=rf"\+-2\^{1023 - n} "):
+                    execute(prog, above)
+
+
+@pytest.mark.parametrize("n", [5, 10])  # the gather's n < 64 loop, and its tiles
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "above"])
+def test_gather_checks_the_float_limit(n, bad, builds):
+    """A value at the float limit decodes, on both paths and in sc_decode;
+    NaN, +-inf and the next double above the limit at the first, a middle
+    or the last position of one row fail there with one ValueError text."""
+    spec = construct_frozen_set(n, 1 << (n - 1), 0.5)
+    prog = compile_tree(build_tree(spec, 64))
+    lim = 2.0 ** (1023 - n)
+    bad = np.nextafter(lim, np.inf) if bad == "above" else bad
+    rng = np.random.default_rng(n)
+    for b in (1, 3, 128):
+        x = rng.choice([-lim, lim, -1.0, 0.5, -0.0], (b, 1 << n))
+        want = numpy_execute(prog, x, None)
+        sc_decode(x, spec)
+        for lib in builds.values():
+            with on(lib):
+                assert np.array_equal(execute(prog, x), want)
+        for pos in (0, (1 << n) // 2 + 3, (1 << n) - 1):
+            y = x.copy()
+            y[b // 2, pos] = bad
+            calls = [y, y[0]] if b == 1 else [y]
+            for v in calls:
+                with pytest.raises(ValueError) as ref:
+                    sc_decode(v, spec)
+                assert ("finite" if np.isnan(bad) or np.isinf(bad) else f"+-2^{1023 - n} ") \
+                    in str(ref.value)
+                for lib in [None, *builds.values()]:
+                    with on(lib), pytest.raises(ValueError) as got:
+                        execute(prog, v)
+                    assert str(got.value) == str(ref.value), (lib, b, pos)
 
 
 @pytest.mark.parametrize("scheme", ["6:4:0", "7:5:1", "15:12:2", "31:31:0"])  # int8, 16, 32

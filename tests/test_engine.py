@@ -178,22 +178,24 @@ def test_ml_instruction_executes():
 
 @pytest.mark.parametrize("lib", ["default", None])
 def test_ml4_decides_a_frame_alone_as_in_a_batch(lib, monkeypatch):
-    # near 1e308 the scores overflow: s + t = -6e307, s - t = -inf, t - s = inf,
-    # with s and t the sums of the natural-order halves; a matrix product of
-    # the frame with the candidates' signs decided 1010 alone, 1111 in a batch
+    # the frame at N = 4's float limit, 2^1021 ~ 2.2e307: with s and t the
+    # sums of the natural-order halves, s + t = -7.5e306, s - t = -3.5e307 and
+    # t - s = 3.5e307, with no overflow; a matrix product of the frame with
+    # the candidates' signs once decided such frames differently alone and in
+    # a batch (then near 1e308, where the scores overflowed)
     if lib is None:
         monkeypatch.setattr(_clib, "library", lambda: None)
     prog = compile_tree(build_tree(CodeSpec(frozen_mask=np.array([True, True, False, False])),
                                    16))
     assert [str(i) for i in prog.instructions] == ["ML L stage=2"]
-    frame = np.array([-0.0, -6e307, -1.7e308, 1.7e308])
+    frame = np.array([-0.0, -6e307, -1.7e308, 1.7e308]) / 8
+    assert np.abs(frame).max() <= 2.0 ** 1021
     natural = frame[[0, 2, 1, 3]]  # N = 4: bit reversal swaps positions 1 and 2
-    with np.errstate(over="ignore"):
-        assert np.array_equal(execute(prog, frame), [1, 0, 1, 0])
-        assert np.array_equal(decode_ml4(natural), [1, 1, 0, 0])
-        for b in (2, 128):
-            assert (execute(prog, np.tile(frame, (b, 1))) == [1, 0, 1, 0]).all()
-            assert (decode_ml4(np.tile(natural, (b, 1))) == [1, 1, 0, 0]).all()
+    assert np.array_equal(execute(prog, frame), [1, 0, 1, 0])
+    assert np.array_equal(decode_ml4(natural), [1, 1, 0, 0])
+    for b in (2, 128):
+        assert (execute(prog, np.tile(frame, (b, 1))) == [1, 0, 1, 0]).all()
+        assert (decode_ml4(np.tile(natural, (b, 1))) == [1, 1, 0, 0]).all()
 
 
 def test_degenerate_codes():
