@@ -502,12 +502,12 @@ DECODER(int8_t, wide_int8_t)
 DECODER(int16_t, wide_int16_t)
 DECODER(int32_t, wide_int32_t)
 
-/* The float F and G of the numpy engine's plans, over `rows` frames of its
+/* The float F and G of the engine's linked float plans, over `rows` frames of its
  * (B, 2^s) stage buffers: row r of a step's input holds the halves a and b,
  * `size` values each, at in + 2*size*r, and its output row starts at out +
  * size*r; G reads row r's left decisions at left + n*r, in the (B, N)
- * decision array, and G-0R passes left NULL.  The values are engine._f's and
- * engine._g's: G is b - a where the left decision is 1, else b + a, with no
+ * decision array, and G-0R passes left NULL.  The values are the kernels'
+ * f_op and g_op: G is b - a where the left decision is 1, else b + a, with no
  * clip; within gather_double's limit no G overflows.  A zero's sign may
  * differ from numpy's; no decision reads it. */
 F_OF(double)

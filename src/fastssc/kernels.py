@@ -93,14 +93,16 @@ def decode_spc(alpha):
 def decode_rep(alpha):
     """Repetition decoding: replicate the sign of the sum (>= 0 gives 0).
 
-    Integer input is accumulated in int64 with no saturation.
+    Integer input is accumulated in int64 with no saturation.  Float input
+    is summed in numpy's pairwise order over C-ordered rows, whatever the
+    layout it comes in, so a frame's decision does not depend on it.
     """
     alpha = np.asarray(alpha)
     n = alpha.shape[-1]
     if n < 2:
         raise ValueError("repetition needs at least 2 values")
     acc = np.int64 if np.issubdtype(alpha.dtype, np.integer) else np.float64
-    s = np.asarray(alpha.sum(axis=-1, dtype=acc))
+    s = np.asarray(np.ascontiguousarray(alpha).sum(axis=-1, dtype=acc))
     bit = (s < 0).astype(np.uint8)
     return np.broadcast_to(bit[..., None], alpha.shape[:-1] + (n,)).copy()
 

@@ -25,7 +25,7 @@ from . import _clib
 from .compiler import NodeRuleSet, build_tree, compile_tree, estimate_latency
 from .engine import execute
 from .polar import encode_systematic
-from .quantize import quantize_channel
+from .quantize import float_limit, quantize_channel
 
 
 def ebno_to_sigma2(ebno_db, rate):
@@ -137,12 +137,21 @@ def run_simulation(config):
     """Simulate every configured Eb/N0 point; returns a list of SimResult.
 
     Each point stops at min_frame_errors frame errors or max_frames frames,
-    whichever comes first, evaluated on whole batches.
+    whichever comes first, evaluated on whole batches.  Every point's noise
+    variance is checked before the first batch: one that is not finite and
+    positive raises ValueError, and so, in float, does one whose noiseless
+    LLR 2/sigma^2 is beyond the float limit of the decoder's input.
     """
     spec = config.spec
+    sigma2s = [ebno_to_sigma2(ebno, spec.k / spec.N) for ebno in config.ebno_db]
+    lim = float_limit(spec.N)
+    for ebno, sigma2 in zip(config.ebno_db, sigma2s):
+        if config.quant is None and 2.0 / sigma2 > lim:
+            raise ValueError(f"Eb/N0 {ebno} dB gives noiseless LLRs of +-{2.0 / sigma2:.4g}, "
+                             f"beyond the +-2^{1023 - spec.n_bits} (~{lim:.4g}) float "
+                             f"limit at N = {spec.N}")
     program = compile_tree(build_tree(spec, config.p, config.rules))
     cycles = estimate_latency(program)
-    rate = spec.k / spec.N
     batch = partial(_sim_batch, program, config.quant)
     results = []
     pool = None
@@ -152,8 +161,7 @@ def run_simulation(config):
             decode = partial(_in_order, pool, 2 * config.workers, batch)
         else:
             decode = partial(starmap, batch)
-        for point_idx, ebno in enumerate(config.ebno_db):
-            sigma2 = ebno_to_sigma2(ebno, rate)
+        for point_idx, (ebno, sigma2) in enumerate(zip(config.ebno_db, sigma2s)):
             t0 = time.perf_counter()
             frames, bit_err, frame_err = _run_point(config, point_idx, sigma2, decode)
             elapsed = time.perf_counter() - t0

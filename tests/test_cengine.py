@@ -1,12 +1,14 @@
-"""The compiled library, `_cengine.c`, against the numpy steps it stands in for.
+"""The compiled library, `_cengine.c`, against the numpy code it stands in for.
 
 `engine.execute` decodes fixed-point frames in the library when it loads,
-and `encode_systematic`, `awgn_bpsk_llr` and `quantize_channel` run there
-too, as do the frame bits and the noise of a PCG64 Generator where numpy's
-libnpyrandom.a is linked in; the numpy steps and numpy's own draws are
-their bit-exact reference.
+and float frames with its F, G and gathers; `encode_systematic`,
+`awgn_bpsk_llr` and `quantize_channel` run there too, as do the frame bits
+and the noise of a PCG64 Generator where numpy's libnpyrandom.a is linked
+in.  Their bit-exact reference is the numpy code: `engine._reference`, one
+loop over the program that calls the `kernels.py` formulas, for decoding,
+and numpy's own encoder, channel, quantizer and draws for the rest.
 Every comparison runs on each ISA level's build, through the `builds`
-fixture, and reaches the numpy steps by making `_clib.library` return None,
+fixture, and reaches the numpy code by making `_clib.library` return None,
 which is also what a missing compiler or a failed build gives, there with a
 UserWarning.
 """
@@ -113,10 +115,10 @@ def float_frames(family, n, rng):
 
 @pytest.mark.parametrize("family", ["noise", "zeros", "huge"])
 def test_c_float_equals_numpy(family, builds):
-    """Float F, G and the gathers in the library decide as the numpy steps
-    do, on every build, batch shape and rule set, for a single vector,
-    float32 and strided input too.  Only the sign of an intermediate zero
-    may differ, and no decision reads it.  Huge frames, at the float limit,
+    """Float F, G and the gathers in the library decide as the reference
+    does, on every build, batch shape and rule set, for a single vector,
+    float32, column-ordered and strided input too.  Only the sign of an
+    intermediate zero may differ, and no decision reads it.  Huge frames, at the float limit,
     overflow no step, so neither path warns (RuntimeWarnings are errors
     here); the next double above the limit fails on both paths with one
     ValueError that names the limit."""
@@ -129,8 +131,11 @@ def test_c_float_equals_numpy(family, builds):
             if family != "huge":  # float32 holds these values
                 calls.append(x.astype(np.float32))
             want = [numpy_execute(prog, v, None) for v in calls]
-            calls.append(np.repeat(x, 2, axis=1)[:, ::2])  # strided, x's values
-            want.append(want[len(FLOAT_BATCHES) - 1])
+            # x's values in column order and strided: each decides as x does
+            for v in (np.asfortranarray(x), np.repeat(x, 2, axis=1)[:, ::2]):
+                assert np.array_equal(numpy_execute(prog, v, None), want[len(FLOAT_BATCHES) - 1])
+                calls.append(v)
+                want.append(want[len(FLOAT_BATCHES) - 1])
             for level, lib in builds.items():
                 with on(lib):
                     for v, ref in zip(calls, want):
@@ -640,13 +645,14 @@ def test_float_plans_hold_their_buffers(builds):
 
 def test_library_patched_away_runs_the_numpy_steps(builds, monkeypatch):
     """Plans are cached per library: with `_clib.library` patched to None
-    mid-process, a shape already linked on the library runs the numpy
-    steps, and patched back it runs the library's plan again."""
+    mid-process, a shape already linked on the library runs the reference,
+    and patched back it runs the library's plan again."""
     q = parse_quant("7:5:1")
     prog = compile_tree(build_tree(construct_frozen_set(10, 600, 0.5), 64))
     x = np.random.default_rng(26).normal(0.5, 2.0, (8, 1024))
-    g, calls = engine._g, []
-    monkeypatch.setattr(engine, "_g", lambda *args: calls.append(1) or g(*args))
+    reference, calls = engine._reference, []
+    monkeypatch.setattr(engine, "_reference",
+                        lambda *args: calls.append(1) or reference(*args))
     for level, lib in builds.items():
         for quant, v in ((None, x), (q, quantize_channel(x, q))):
             with on(lib):

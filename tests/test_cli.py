@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fastssc import simulate
 from fastssc.cli import main
 from fastssc.compiler import build_tree, compile_tree, parse_program, serialize_program
 from fastssc.polar import construct_frozen_set, encode_systematic, load_spec, spec_from_text
@@ -424,4 +425,17 @@ def test_bad_noise_and_worker_values_exit_2(capsys, argv):
     assert rc == 2
     assert out == ""
     assert err.startswith("fastssc: error: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("ebno, quant", [
+    (("6", "1e6"), ()), (("6", "1e6"), ("--quant", "7:5:1")), (("1", "3060"), ()),
+], ids=["no-variance", "no-variance-7:5:1", "float-limit"])
+def test_bad_later_point_exits_2_before_any_batch(capsys, monkeypatch, ebno, quant):
+    calls = []
+    monkeypatch.setattr(simulate, "_sim_batch", lambda *args: calls.append(args))
+    rc, out, err = run_cli(capsys, "simulate", "--n-bits", "8", "--k", "128",
+                           "--design-sigma2", "0.5", "--ebno", *ebno, *quant)
+    assert (rc, out, calls) == (2, "", [])
+    assert err.startswith(f"fastssc: error: Eb/N0 {float(ebno[1])} dB gives ")
     assert len(err.splitlines()) == 1

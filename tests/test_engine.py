@@ -17,6 +17,7 @@ from fastssc.engine import EngineError, execute
 from fastssc.kernels import decode_ml4
 from fastssc.polar import (
     CodeSpec,
+    bit_reverse_permutation,
     construct_frozen_set,
     encode_polar,
     encode_systematic,
@@ -174,6 +175,22 @@ def test_ml_instruction_executes():
     llr = 5.0 * (1.0 - 2.0 * x) + 0.8 * rng.standard_normal(x.shape)
     assert np.array_equal(execute(prog, llr), sc_decode(llr, spec))
     assert np.array_equal(execute(prog, 4.0 * (1.0 - 2.0 * x)), x)
+
+
+@pytest.mark.parametrize("lib", ["default", None])
+def test_rep_decides_alike_in_any_input_layout(lib, monkeypatch):
+    """A length-16 repetition code, one REP over the root: numpy sums this
+    natural-order row pairwise to -1, but to 0 one column at a time, as it
+    would a column-ordered root; every input layout decides 1."""
+    if lib is None:
+        monkeypatch.setattr(_clib, "library", lambda: None)
+    spec = CodeSpec(frozen_mask=np.arange(16) < 15)  # N = 16 reverses index 15 into itself
+    prog = compile_tree(build_tree(spec, 16))
+    assert [str(i) for i in prog.instructions] == ["REP L stage=4"]
+    natural = np.array([1e300, -1.0] + [0.0] * 6 + [-1e300] + [0.0] * 7)
+    x = np.tile(natural[bit_reverse_permutation(4)], (5, 1))  # transmission order
+    for v in (x, np.asfortranarray(x), x[:, np.arange(16)], x[0]):
+        assert (execute(prog, v) == 1).all(), v.strides
 
 
 @pytest.mark.parametrize("lib", ["default", None])

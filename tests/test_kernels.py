@@ -146,6 +146,18 @@ def test_decode_rep_wide_accumulation():
     assert np.array_equal(decode_rep(-big), np.ones(16, dtype=np.uint8))
 
 
+def test_decode_rep_decides_alike_in_any_layout():
+    """numpy sums a C-ordered row pairwise, to -1 here, but a column-ordered
+    batch one column at a time, to 0; the decision is the pairwise one in
+    every layout."""
+    row = np.array([1e300, -1.0] + [0.0] * 6 + [-1e300] + [0.0] * 7)
+    batch = np.tile(row, (5, 1))
+    assert np.asfortranarray(batch).sum(axis=1)[0] == 0.0  # the order the fix avoids
+    gathered = batch[:, np.arange(16)]  # a fancy index returns column order
+    for alpha in (row, batch, np.asfortranarray(batch), gathered):
+        assert (decode_rep(alpha) == 1).all(), alpha.strides
+
+
 def test_decode_rep_spc_strong_positive():
     assert np.array_equal(decode_rep_spc(np.full(8, 8.0)), np.zeros(8, dtype=np.uint8))
 

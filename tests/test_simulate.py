@@ -57,6 +57,31 @@ def test_ebno_to_sigma2():
             ebno_to_sigma2(ebno, 0.5)
 
 
+@pytest.mark.parametrize("ebno, quant, match", [
+    ((6.0, 1e6), None, "Eb/N0 1000000.0 dB gives no finite, positive noise variance"),
+    ((6.0, 1e6), QuantScheme(7, 5, 1), "noise variance"),
+    # 2/sigma^2 = 2e306 > 2^1015 (~3.5e305), the float limit at N = 256
+    ((1.0, 3060.0), None, r"Eb/N0 3060.0 dB gives noiseless LLRs of \+-2e\+306, beyond the "
+                          r"\+-2\^1015 \(~3.511e\+305\) float limit at N = 256"),
+], ids=["no-variance", "no-variance-7:5:1", "float-limit"])
+def test_every_point_is_checked_before_the_first_batch(ebno, quant, match, monkeypatch):
+    calls = []
+    monkeypatch.setattr(simulate, "_sim_batch", lambda *args: calls.append(args))
+    cfg = SimConfig(spec=construct_frozen_set(8, 128, 0.5), ebno_db=ebno, quant=quant,
+                    max_frames=64)
+    with pytest.raises(ValueError, match=match):
+        run_simulation(cfg)
+    assert not calls
+
+
+def test_fixed_point_runs_past_the_float_limit():
+    """The float limit bounds float input only: a quantized run clips its LLRs."""
+    cfg = SimConfig(spec=construct_frozen_set(8, 128, 0.5), ebno_db=(3060.0,),
+                    quant=QuantScheme(7, 5, 1), max_frames=64)
+    (r,) = run_simulation(cfg)
+    assert (r.frames, r.frame_errors) == (64, 0)
+
+
 def test_awgn_llr_statistics():
     sigma2 = 0.8
     rng = np.random.default_rng(0)
@@ -280,7 +305,8 @@ def test_pooled_batches_see_the_callers_patches(monkeypatch):
 
 def test_each_batch_shape_links_once(monkeypatch):
     # 200 = 128 + 72: every point runs a full batch and a short one, and the
-    # engine keeps both plans across the three points
+    # engine keeps both plans across the three points; with no library the
+    # reference loop runs, which links nothing
     linked = []
     link = engine._link
 
@@ -292,7 +318,7 @@ def test_each_batch_shape_links_once(monkeypatch):
     cfg = SimConfig(spec=construct_frozen_set(8, 128, 0.5), ebno_db=(1.0, 2.0, 3.0),
                     max_frames=200, min_frame_errors=10_000)
     assert [r.frames for r in run_simulation(cfg)] == [200] * 3
-    assert linked == [128, 72]
+    assert linked == ([128, 72] if _clib.library() is not None else [])
 
 
 def test_stops_on_frame_errors():
