@@ -1,8 +1,8 @@
 /* Compiled batch steps for fastssc: the fixed-point decoder interpreter, the
- * float decoder's F, G and bit-reversal gathers, the systematic encoder, the
- * AWGN channel arithmetic and the channel quantizer, and, where numpy.random's
- * static library is linked in, the frame bits and the channel noise drawn as
- * numpy's PCG64 Generator draws them.
+ * float decoder's F, G and bit-reversal gathers, the systematic encoder and
+ * the channel quantizer, and, where numpy.random's static library is linked
+ * in, the frame bits and the AWGN channel LLRs drawn as numpy's PCG64
+ * Generator draws them.
  *
  * fastssc._clib builds this file with the system C compiler on first use and
  * calls it through ctypes.  Every entry gives the values of the numpy code it
@@ -15,22 +15,22 @@
  * (opcode, stage, node start) rows, one per instruction: Program.table, from
  * the compiler's walk.  Opcode numbers are compiler.Opcode's.  One interpreter
  * instance per working type T and lane count L decodes L frames at once, in a
- * workspace of 2N*L values of T and N*L decision bytes, frame innermost: the
- * stage-s buffer holds its 2^s values at offset 2^s*L, value i of lane j at
- * [i*L + j], and decisions are in natural order, where the node starting at
- * leaf `start` owns beta[start*L, (start + 2^s)*L), so a G's left sibling ends
- * at its start.  Element-wise steps then run over 2^s*L values as one flat
- * loop; REP, SPC and ML4 reduce lane by lane, with the one-frame rules.  Each
- * type has two instances: L = 1, and a wide one with lanes(sizeof(T)) =
- * 32 / sizeof(T) lanes, whose values at one index fill a 32-byte vector.  A
- * batch decodes its whole groups of L frames on the wide instance and the
- * rest one frame at a time.  Soft values never leave [-sat, sat], and the
- * working type holds 2*sat, so b +- a is exact before G clips it.  Where the
- * build has AVX2 (the x86-64-v3 one), the wide instances move frames in and
- * out of the lanes by SIMD tile transposes; the scalar tiles serve the
- * baseline build, other hosts and N below a tile.  The load checks that each
- * int32 channel value is within [-lim, lim]; a decode returns 1, and stops,
- * at the first group with one outside.
+ * workspace of 2N*L values of T and N*L decision bytes, allocated per call,
+ * frame innermost: the stage-s buffer holds its 2^s values at offset 2^s*L,
+ * value i of lane j at [i*L + j], and decisions are in natural order, where the
+ * node starting at leaf `start` owns beta[start*L, (start + 2^s)*L), so a G's
+ * left sibling ends at its start.  Element-wise steps then run over 2^s*L values
+ * as one flat loop; REP, SPC and ML4 reduce lane by lane, with the one-frame
+ * rules.  Each type has two instances: L = 1, and a wide one with WIDE(T) = 32 /
+ * sizeof(T) lanes, whose values at one index fill a 32-byte vector.  A batch
+ * decodes its whole groups of L frames on the wide instance and the rest one
+ * frame at a time.  Soft values never leave [-sat, sat], and the working type
+ * holds 2*sat, so b +- a is exact before G clips it.  Where the build has AVX2
+ * (the x86-64-v3 one), the wide instances move frames in and out of the lanes
+ * by SIMD tile transposes; the scalar tiles serve the baseline build, other
+ * hosts and N below a tile.  The load checks that each int32 channel value is
+ * within [-lim, lim]; a decode returns 1, and stops, at the first group with
+ * one outside.
  *
  * f_rows, g_rows, gather_double and gather_uint8_t are steps of the float
  * plans that engine._link builds over numpy buffers, one frame per row;
@@ -45,6 +45,7 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #if defined(__AVX2__) || defined(__BMI2__)
 #include <immintrin.h>
@@ -59,9 +60,6 @@ static const uint8_t ML4[4][4] = {{0, 0, 0, 0}, {1, 1, 1, 1}, {0, 0, 1, 1}, {1, 
    baseline build decodes faster with them too, on 16-byte vectors */
 #define VECTOR_BYTES 32
 #define WIDE(T) (VECTOR_BYTES / (int)sizeof(T))
-
-/* The lane count of the wide instance of the working type of this size. */
-int64_t lanes(int64_t itemsize) { return VECTOR_BYTES / itemsize; }
 
 /* 1 where the CPU runs x86-64-v3 code (AVX2, FMA, BMI1 and BMI2), else 0. */
 int64_t cpu_supports_x86_64_v3(void)
@@ -376,26 +374,20 @@ void gather_uint8_t(const uint8_t *in, const int64_t *rev, uint8_t *out, int64_t
                 f_##T(node, node + hw, down, hw);                                         \
                 rep_##X(down, left, half);                                                \
                 /* fall through */                                                        \
-            case P_RSPC:                                                                  \
-                g_##T(node, node + hw, left, down, hw, sat);                              \
-                spc_##X(down, right, half);                                               \
-                combine(left, right, hw);                                                 \
-                break;                                                                    \
-            case P_R1:                                                                    \
-                g_##T(node, node + hw, left, down, hw, sat);                              \
-                hd_##T(down, right, hw);                                                  \
-                combine(left, right, hw);                                                 \
-                break;                                                                    \
-            case P_0SPC:                                                                  \
-                g_##T(node, node + hw, NULL, down, hw, sat);                              \
-                spc_##X(down, right, half);                                               \
-                memcpy(left, right, (size_t)hw);                                          \
-                break;                                                                    \
-            case P_01:                                                                    \
-                g_##T(node, node + hw, NULL, down, hw, sat);                              \
-                hd_##T(down, right, hw);                                                  \
-                memcpy(left, right, (size_t)hw);                                          \
-                break;                                                                    \
+            case P_R1: case P_RSPC: case P_01: case P_0SPC: {                             \
+                /* G (with no left sibling at rate 0), decide the right child by a */    \
+                /* hard decision or SPC, close the node by XOR or (rate 0) a copy */      \
+                int zero = ins[0] == P_01 || ins[0] == P_0SPC;                            \
+                g_##T(node, node + hw, zero ? NULL : left, down, hw, sat);                \
+                if (ins[0] == P_R1 || ins[0] == P_01)                                     \
+                    hd_##T(down, right, hw);                                              \
+                else                                                                      \
+                    spc_##X(down, right, half);                                           \
+                if (zero)                                                                 \
+                    memcpy(left, right, (size_t)hw);                                      \
+                else                                                                      \
+                    combine(left, right, hw);                                             \
+            }                                                                             \
             }                                                                             \
         }                                                                                 \
     }                                                                                     \
@@ -474,19 +466,23 @@ void gather_uint8_t(const uint8_t *in, const int64_t *rev, uint8_t *out, int64_t
     }
 
 /* The decoder entry of working type T: whole groups of WIDE(T) frames on the wide */
-/* instance X, the rest on the one-lane instance; work holds WIDE(T) * N * (2 * sizeof(T) + 1) */
-/* bytes.  Returns 1 where a channel value is outside [-lim, lim] (out is then undefined), */
-/* else 0 */
+/* instance X, the rest on the one-lane instance, in one workspace of L * N * (2 * sizeof(T) */
+/* + 1) bytes, L the larger lane count used.  Returns -1 where malloc fails, 1 where a */
+/* channel value is outside [-lim, lim] (out is then undefined), else 0 */
 #define DECODER(T, X)                                                                     \
     int64_t decode_##T(const int64_t *prog, int64_t count, const int64_t *rev,            \
                        int64_t n_bits, int64_t sat, int64_t lim, int64_t frames,          \
-                       const int32_t *x, uint8_t *out, void *work)                        \
+                       const int32_t *x, uint8_t *out)                                    \
     {                                                                                     \
-        int64_t N = (int64_t)1 << n_bits, wide = frames - frames % WIDE(T);               \
-        if (wide && run_##X(prog, count, N, (T)sat, (int32_t)lim, wide, x, rev, out, work)) \
-            return 1;                                                                     \
-        return frames > wide && run_##T(prog, count, N, (T)sat, (int32_t)lim, frames - wide, \
-                                        x + wide * N, rev, out + wide * N, work);         \
+        int64_t N = (int64_t)1 << n_bits, wide = frames - frames % WIDE(T), bad;          \
+        void *work = malloc((size_t)((wide ? WIDE(T) : 1) * N * (2 * (int64_t)sizeof(T) + 1))); \
+        if (!work)                                                                        \
+            return -1;                                                                    \
+        bad = (wide && run_##X(prog, count, N, (T)sat, (int32_t)lim, wide, x, rev, out, work)) \
+              || (frames > wide && run_##T(prog, count, N, (T)sat, (int32_t)lim, frames - wide, \
+                                           x + wide * N, rev, out + wide * N, work));    \
+        free(work);                                                                       \
+        return bad;                                                                       \
     }
 
 KERNELS(int8_t)
@@ -592,16 +588,18 @@ static uint64_t deposit(uint64_t x, uint64_t m, const uint64_t *move)
  * n bits in W = ceil(n / 64) words, bit i in bit i % 64 of word i / 64: pack
  * the row's bits, 8 to a multiply, deposit them at the unfrozen positions,
  * the set bits of the packed keep mask (keep = 1), transform, AND with the
- * mask, transform, and expand the words to bytes.  work holds 10 * W + 2
- * words: per word its mask, its 6 moves and the offset of its first bit in
- * the packed row, then the row's words, and the packed row with two words to
- * spare. */
-void encode(const uint8_t *a, const uint8_t *keep, int64_t n, int64_t rows, uint8_t *out,
-            uint64_t *work)
+ * mask, transform, and expand the words to bytes.  Its workspace holds 10 *
+ * W + 2 words: per word its mask, its 6 moves and the offset of its first
+ * bit in the packed row, then the row's words, and the packed row with two
+ * words to spare.  Returns -1 where malloc fails, else 0. */
+int64_t encode(const uint8_t *a, const uint8_t *keep, int64_t n, int64_t rows, uint8_t *out)
 {
     int64_t W = (n + 63) / 64, k = 0;
-    uint64_t *mask = work, *move = mask + W, *off = move + 6 * W, *w = off + W, *packed = w + W;
-    memset(mask, 0, (size_t)W * 8);
+    /* zeroed, as the packed row's spare words must be: a word's reads may pass the row's end */
+    uint64_t *mask = calloc((size_t)(10 * W + 2), 8);
+    if (!mask)
+        return -1;
+    uint64_t *move = mask + W, *off = move + 6 * W, *w = off + W, *packed = w + W;
     for (int64_t i = 0; i < n; i++)
         mask[i / 64] |= (uint64_t)(keep[i] & 1) << i % 64;
     for (int64_t j = 0; j < W; j++) {
@@ -610,7 +608,6 @@ void encode(const uint8_t *a, const uint8_t *keep, int64_t n, int64_t rows, uint
         for (uint64_t m = mask[j]; m; m &= m - 1)
             k++;
     }
-    packed[k / 64] = packed[k / 64 + 1] = 0; /* a word's reads may pass the row's end */
     for (int64_t r = 0; r < rows; r++, a += k, out += n) {
         /* (x & 0x01...01) * 0x0102...80 >> 56 gathers bit 0 of each byte of x */
         for (int64_t t = 0; t < k; t += 64) {
@@ -646,15 +643,8 @@ void encode(const uint8_t *a, const uint8_t *keep, int64_t n, int64_t rows, uint
                 out[i + e] = (uint8_t)(y >> 8 * e);
         }
     }
-}
-
-/* simulate.awgn_bpsk_llr after the draw: z, standard normals, becomes the LLR
- * ((z*sigma + (1 - 2x)) * 2) / sigma2 in place, rounded as numpy's four passes
- * round it (the build turns off FMA contraction) */
-void channel(double *z, const int8_t *x, int64_t m, double sigma, double sigma2)
-{
-    for (int64_t i = 0; i < m; i++)
-        z[i] = ((z[i] * sigma + (int8_t)(1 - 2 * x[i])) * 2.0) / sigma2;
+    free(mask);
+    return 0;
 }
 
 #ifdef FASTSSC_NUMPY_RANDOM
@@ -731,10 +721,11 @@ void normal_tables(void)
     }
 }
 
-/* simulate.awgn_bpsk_llr in one pass: Generator.standard_normal's z, then the
- * channel arithmetic above.  The ziggurat's fast path (Marsaglia & Tsang 2000)
- * runs here, with the sign bit XORed in; a miss (~1.2% of values) replays its
- * word through numpy's own function */
+/* simulate.awgn_bpsk_llr in one pass: Generator.standard_normal's z becomes
+ * the LLR ((z*sigma + (1 - 2x)) * 2) / sigma2, rounded as numpy's four passes
+ * round it (the build turns off FMA contraction).  The ziggurat's fast path
+ * (Marsaglia & Tsang 2000) runs here, with the sign bit XORed in; a miss
+ * (~1.2% of values) replays its word through numpy's own function */
 void awgn(uint64_t *pcg, const int8_t *x, double *llr, int64_t m, double sigma, double sigma2)
 {
     u128 s = (u128)pcg[0] << 64 | pcg[1], inc = (u128)pcg[2] << 64 | pcg[3];

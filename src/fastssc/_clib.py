@@ -18,13 +18,15 @@ archive's crc32 too.  On Linux the link adds -Wl,--exclude-libs,ALL, so
 the library exports none of the archive's functions.  Each loaded build
 runs a self-test against numpy's draws; with no archive, or a failed
 self-test, its `awgn` and `bits` are None and `draw_error` says why, and
-`library()` warns once that numpy draws the bits and the noise, with the
-same results.
+`library()` warns once that numpy draws the bits and the noise, and forms
+the LLRs, with the same results.
 
-With no compiler, or a failed build, `library()` is None, the process warns
-once, and every caller (the fixed-point decoder, the float decoder's F, G and
-bit-reversal gathers, the systematic encoder, the AWGN channel and the
-quantizer) runs its numpy steps, with the same results.
+Entries allocate their own scratch memory; where that fails, a decode or
+`encode` returns -1 and its caller raises MemoryError.  With no compiler,
+or a failed build, `library()` is None, the process warns once, and every
+caller (the fixed-point decoder, the float decoder's F, G and bit-reversal
+gathers, the systematic encoder, the AWGN channel and the quantizer) runs
+its numpy steps, with the same results.
 Callers look `library` up on this module at each call, so patching it is
 the one switch: tests make it return None for the numpy steps, or one ISA
 level's `variant`.
@@ -51,7 +53,7 @@ _CFLAGS = ("-std=c99", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
 LEVELS = {"baseline": (), "x86-64-v3": ("-march=x86-64-v3",)}
 
 _P, _I = ctypes.c_void_p, ctypes.c_int64
-_DECODE = [_P, _I, _P] + [_I] * 4 + [_P] * 3
+_DECODE = [_P, _I, _P] + [_I] * 4 + [_P] * 2
 _SIGNATURES = {
     "decode_int8_t": (_DECODE, _I),
     "decode_int16_t": (_DECODE, _I),
@@ -60,10 +62,8 @@ _SIGNATURES = {
     "g_rows": ([_P, _P, _P, _I, _I, _I], None),
     "gather_double": ([_P, _P, _P, _I, _I, ctypes.c_double], _I),
     "gather_uint8_t": ([_P, _P, _P, _I, _I], None),
-    "lanes": ([_I], _I),
     "cpu_supports_x86_64_v3": ([], _I),
-    "encode": ([_P, _P, _I, _I, _P, _P], None),
-    "channel": ([_P, _P, _I, ctypes.c_double, ctypes.c_double], None),
+    "encode": ([_P, _P, _I, _I, _P], _I),
     "quantize": ([_P, _P, _I, ctypes.c_double, ctypes.c_double], _I),
 }
 # entries compiled in with numpy.random's static library, libnpyrandom.a
@@ -200,14 +200,15 @@ def _self_test(dll):
     """None where the library's draws equal numpy's, bit for bit, else what differs.
 
     Bits, whose last uint32 leaves its high half buffered, then the channel
-    LLRs of 4097 normals, against Generator(PCG64(seed)) and the library's own
-    `channel`."""
+    LLRs of 4097 normals, against Generator(PCG64(seed)) and numpy's four
+    passes of `simulate.awgn_bpsk_llr`."""
     want_rng, got_rng = (np.random.Generator(np.random.PCG64(_SELF_TEST_SEED)) for _ in "ab")
     n, sigma = 4097, 0.75
     want_x, got_x = want_rng.integers(0, 2, n, dtype=np.uint8), np.empty(n, np.uint8)
     pcg64_call(dll.bits, got_rng, got_x.ctypes.data, n)
     want, got = want_rng.standard_normal(n), np.empty(n)
-    dll.channel(want.ctypes.data, want_x.ctypes.data, n, sigma, sigma * sigma)
+    # each operation rounds as its in-place pass in awgn_bpsk_llr's numpy steps does
+    want = (want * sigma + (1 - 2 * want_x.view(np.int8))) * 2.0 / (sigma * sigma)
     pcg64_call(dll.awgn, got_rng, got_x.ctypes.data, got.ctypes.data, n, sigma, sigma * sigma)
     if not np.array_equal(got_x, want_x) or not np.array_equal(got.view(np.int64),
                                                                  want.view(np.int64)):

@@ -27,16 +27,18 @@ COMBINE and the hard decisions are flat loops over 2^s*L values, and REP,
 SPC and ML4 reduce lane by lane with the one-frame rules.  A batch runs its
 whole groups of L frames there, transposed in and out in tiles, and the
 rest one frame at a time on the L = 1 instance, in a workspace of L*(2N
-values + N decisions).  In the x86-64-v3 build the tiles are AVX2
-transposes: the int32 channel rows pack to the working type, an unpack
-ladder transposes L x L values, and each leaf's L values move in one
-32-byte store; the int8 decisions come back through the same 32 x 32 byte
-transpose.  The load also checks the channel range, so `execute` runs
-numpy's `check_channel_llrs` over the input only for a dtype that can wrap
-into range in the cast to int32 (int64, uint32, uint64), and raises its
-ValueError, with its text, when the load finds a value outside.  Its plan
-is that decoder, bound once to the program's table, the bit-reversal
-permutation (built once per n_bits) and the scheme, for every batch size.
+values + N decisions) that the decoder allocates for the call and frees
+before it returns (where it cannot, `execute` raises MemoryError).  In the
+x86-64-v3 build the tiles are AVX2 transposes: the int32 channel rows pack
+to the working type, an unpack ladder transposes L x L values, and each
+leaf's L values move in one 32-byte store; the int8 decisions come back
+through the same 32 x 32 byte transpose.  The load also checks the channel
+range, so `execute` runs numpy's `check_channel_llrs` over the input only
+for a dtype that can wrap into range in the cast to int32 (int64, uint32,
+uint64), and raises its ValueError, with its text, when the load finds a
+value outside.  Its plan is that decoder, bound once to the program's table,
+the bit-reversal permutation (`bit_reverse_permutation`, built once per
+n_bits as int64) and the scheme, for every batch size.
 
 Float calls on the library run a linked plan whose heaviest steps are its
 double-precision entries over the plan's buffers: `f_rows` and `g_rows` for
@@ -66,8 +68,6 @@ cast to float64 or a copy to be contiguous for the gather.  A plan holds
 
 - one alpha buffer of shape (B, 2^s) per stage s = 0..n, alpha[n] being
   the channel vector in natural (tree) order;
-- one flat scratch buffer of B*N/2 values, for SPC magnitudes and
-  REP-SPC's F;
 - one natural-order (B, N) beta array, one byte per decision, so COMBINE is
   an in-place XOR of a node's halves, COMBINE-0R a half copy, and merged
   and leaf steps write their slice directly;
@@ -76,15 +76,16 @@ cast to float64 or a copy to be contiguous for the gather.  A plan holds
 
 Leaf and P-* steps decode in place, with the kernels' results.  The stage
 s-1 alpha buffer is free while a stage-s node closes, so P-* write their G
-there.  REP-SPC decides its repetition bit d first and then decodes the one
-parity branch d selects, as a P-RSPC.
+there, and SPC then takes its magnitudes in place, after the hard decision.
+REP-SPC decides its repetition bit d first, from its F in that same
+buffer, and then decodes the one parity branch d selects, as a P-RSPC.
 
-That is about (2N + N/2)*B*8 + N*B bytes.  The plans of the two most recent
+That is about 2N*B*8 + N*B bytes.  The plans of the two most recent
 call shapes are kept, and a running call takes its plan out of the cache,
 so concurrent calls never share buffers.
 """
 
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -160,12 +161,6 @@ def execute(program, channel_llrs, quant=None, debug=False):
     return out.reshape(lead + (program.N,)) if lead else out[0]
 
 
-@cache
-def _permutation(n_bits):
-    """The read-only int64 bit-reversal permutation of length 2^n_bits, built once."""
-    return np.asarray(bit_reverse_permutation(n_bits), np.int64)
-
-
 def _reference(program, x, sat):
     """Decode (B, N) frames with the kernels, one instruction at a time, over
     int64 (fixed point: G clips to +-sat) or float64 (B, 2^s) stage arrays:
@@ -173,7 +168,7 @@ def _reference(program, x, sat):
     decisions are its slice of one natural-order beta that starts at zero,
     so the rate-0 left sibling that G-0R, COMBINE-0R, P-01 and P-0SPC imply
     reads as the zeros it decides."""
-    rev, dtype = _permutation(program.n_bits), np.float64 if sat is None else np.int64
+    rev, dtype = bit_reverse_permutation(program.n_bits), np.float64 if sat is None else np.int64
     # np.take gathers into a C-ordered root, which REP sums pairwise, row by row
     alpha = {program.n_bits: np.take(x, rev, axis=1).astype(dtype, copy=False)}
     beta = np.zeros(x.shape, np.uint8)
@@ -207,11 +202,11 @@ def _reference(program, x, sat):
     return np.take(beta, rev, axis=1)
 
 
-def _run(lib, steps, alpha, beta, scratch, x):
+def _run(lib, steps, alpha, beta, x):
     """One call of a linked float plan.  The plan's arguments hold every
-    buffer whose address a C step holds: the stage buffers alpha, the
-    decisions beta and the scratch."""
-    root, rev = alpha[-1], _permutation(len(alpha) - 1)
+    buffer whose address a C step holds: the stage buffers alpha and the
+    decisions beta."""
+    root, rev = alpha[-1], bit_reverse_permutation(len(alpha) - 1)
     # channel vectors arrive in transmission (bit-reversed) order; the
     # instruction schedule walks the natural-order tree
     x = np.ascontiguousarray(x, np.float64)
@@ -235,16 +230,12 @@ def _link(program, batch, lib):
     are numpy steps over views of them."""
     n, N = program.n_bits, program.N
     alpha = [np.empty((batch, 1 << s)) for s in range(n + 1)]
-    scratch = np.empty(batch << (n - 1))
     beta = np.zeros((batch, N), np.bool_)
     # row scratch of the leaf steps
     acc = np.empty((batch, 1))
     d = np.empty((batch, 1), np.bool_)
     rows = (np.empty(batch, np.uint8), np.empty(batch, np.intp), np.arange(batch))
     scores = np.empty((batch, 4))
-
-    def tmp(size):  # SPC magnitudes, and REP-SPC's F
-        return scratch[: batch * size].reshape(batch, size)
 
     def f(up, out):
         """F of the halves of up's rows into out."""
@@ -268,10 +259,11 @@ def _link(program, batch, lib):
             continue
         mid, hi = lo + size // 2, lo + size
         node, left, right = beta[:, lo:hi], beta[:, lo:mid], beta[:, mid:hi]
-        if op is Opcode.COMBINE:
-            steps.append(partial(np.bitwise_xor, left, right, out=left))
-        elif op is Opcode.COMBINE_0R:
-            steps.append(partial(np.copyto, left, right))
+        # a node closes with the XOR of its halves, or a copy where the left is rate 0
+        close = (partial(np.copyto, left, right) if row.zero_left
+                 else partial(np.bitwise_xor, left, right, out=left))
+        if op in (Opcode.COMBINE, Opcode.COMBINE_0R):
+            steps.append(close)
         elif op is Opcode.R1:
             steps.append(partial(np.less, alpha[s], 0, out=node))
         elif op is Opcode.REP:
@@ -281,21 +273,15 @@ def _link(program, batch, lib):
         else:
             # P-* and REP-SPC: G into the free stage s-1 buffer, decide the
             # right child, close the node; REP-SPC first decides its left
-            # half, a REP of F
+            # half, a REP of its F in that same buffer
             values = alpha[s - 1]
-            if row.parity:
-                decide = partial(_spc, values, right, tmp(size // 2), *rows)
-            else:
-                decide = partial(np.less, values, 0, out=right)
-            if row.zero_left:
-                merged = [g(alpha[s], None, values), decide, partial(np.copyto, left, right)]
-            else:
-                merged = [g(alpha[s], left, values), decide,
-                          partial(np.bitwise_xor, left, right, out=left)]
+            decide = (partial(_spc, values, right, *rows) if row.parity
+                      else partial(np.less, values, 0, out=right))
+            merged = [g(alpha[s], None if row.zero_left else left, values), decide, close]
             if op is Opcode.REP_SPC:
-                merged[:0] = [f(alpha[s], tmp(4)), partial(_rep, tmp(4), left, acc, d)]
+                merged[:0] = [f(alpha[s], values), partial(_rep, values, left, acc, d)]
             steps.append(partial(_seq, *merged))
-    return partial(_run, lib, steps, alpha, beta, scratch)
+    return partial(_run, lib, steps, alpha, beta)
 
 
 def _bind(lib, program, quant):
@@ -305,30 +291,34 @@ def _bind(lib, program, quant):
     sat, table = quant.internal_limit, program.table
     dtype = np.min_scalar_type(-2 * sat)
     entry = partial(getattr(lib, f"decode_{dtype.name}_t"), table.ctypes.data, len(table),
-                    _permutation(program.n_bits).ctypes.data, program.n_bits, sat,
+                    bit_reverse_permutation(program.n_bits).ctypes.data, program.n_bits, sat,
                     quant.channel_limit)
-    work = lib.lanes(dtype.itemsize) * program.N * (2 * dtype.itemsize + 1)
-    return partial(_run_c, entry, work, quant, table)
+    return partial(_run_c, entry, quant, table)
 
 
-def _run_c(entry, work, quant, table, x):
-    """Decode (B, N) integer frames in the compiled interpreter, whose load
-    checks that the int32 values are in the channel range.  The plan holds the
-    table whose address entry holds; the permutation's is held by its cache."""
+def _run_c(entry, quant, table, x):
+    """Decode (B, N) integer frames in the compiled interpreter, which
+    allocates its own workspace and whose load checks that the int32 values
+    are in the channel range.  The plan holds the table whose address entry
+    holds; the permutation's is held by its cache."""
     x = np.ascontiguousarray(x, np.int32)  # exact, or checked before (see execute)
     out = np.empty(x.shape, np.uint8)
-    work = np.empty(work, np.uint8)
-    if entry(len(x), x.ctypes.data, out.ctypes.data, work.ctypes.data):
+    status = entry(len(x), x.ctypes.data, out.ctypes.data)
+    if status < 0:
+        raise MemoryError("the compiled decoder could not allocate its workspace")
+    if status:
         check_channel_llrs(x, quant)  # raises its ValueError
     return out
 
 
-def _spc(values, dst, mag, parity, least, frames):
-    """Wagner SPC, equals decode_spc: flip the lowest-index least |value| on odd parity."""
+def _spc(values, dst, parity, least, frames):
+    """Wagner SPC, equals decode_spc: flip the lowest-index least |value| on
+    odd parity.  values, the free stage buffer that holds the G, is left
+    holding the magnitudes."""
     np.less(values, 0, out=dst)
     np.bitwise_xor.reduce(dst.view(np.uint8), axis=1, out=parity)
-    np.abs(values, out=mag)
-    np.argmin(mag, axis=1, out=least)
+    np.abs(values, out=values)
+    np.argmin(values, axis=1, out=least)
     dst[frames, least] ^= parity.view(np.bool_)
 
 

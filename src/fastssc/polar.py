@@ -43,10 +43,10 @@ def bit_reverse(i, n_bits):
 
 @lru_cache(maxsize=None)
 def bit_reverse_permutation(n_bits):
-    """Length-2^n_bits index array p with p[i] = bit_reverse(i, n_bits)."""
+    """Read-only int64 array p of length 2^n_bits, p[i] = bit_reverse(i, n_bits), built once."""
     if n_bits <= 0:
         raise ValueError(f"n_bits must be positive, got {n_bits}")
-    idx = np.arange(1 << n_bits)
+    idx = np.arange(1 << n_bits, dtype=np.int64)
     rev = np.zeros_like(idx)
     for b in range(n_bits):
         rev = (rev << 1) | ((idx >> b) & 1)
@@ -295,7 +295,7 @@ def encode_systematic(a, spec):
     bits at the set bits of the packed keep mask, transforms with in-word
     shift-and-mask stages and cross-word XORs, ANDs with the mask,
     transforms again and expands the words back to bytes, with the same
-    result for 0/1 input.
+    result for 0/1 input, or MemoryError where it cannot allocate its workspace.
 
     Parameters
     ----------
@@ -315,9 +315,10 @@ def encode_systematic(a, spec):
     out = np.empty(a.shape[:-1] + (spec.N,), dtype=np.uint8)
     lib = _clib.library()
     if lib is not None:
-        a, work = np.ascontiguousarray(a), np.empty(10 * -(-spec.N // 64) + 2, np.uint64)
-        lib.encode(a.ctypes.data, spec._keep.ctypes.data, spec.N, out.size // spec.N,
-                   out.ctypes.data, work.ctypes.data)
+        a = np.ascontiguousarray(a)
+        if lib.encode(a.ctypes.data, spec._keep.ctypes.data, spec.N, out.size // spec.N,
+                      out.ctypes.data):
+            raise MemoryError("the compiled encoder could not allocate its workspace")
         return out
     out.fill(0)
     out[..., spec.info_positions] = a

@@ -46,11 +46,11 @@ def awgn_bpsk_llr(x, sigma, rng):
     """Modulate bits to +-1, add white Gaussian noise, return channel LLRs.
 
     LLR_i = 2 y_i / sigma^2 with y = (1 - 2 x) + n, n ~ N(0, sigma^2), in a
-    fresh float64 array of x's shape.  Where the C library loads, it forms
-    them in one pass with the same rounding, and where rng is a Generator
-    over PCG64 it also draws the noise, the values numpy's `standard_normal`
-    would draw, with the same state left behind.  Other generators draw
-    through numpy.
+    fresh float64 array of x's shape.  Where the C library loads with its
+    PCG64 draws and rng is a Generator over PCG64, the library draws the
+    noise, the values numpy's `standard_normal` would draw, with the same
+    state left behind, and forms the LLRs in the same pass with the same
+    rounding.  Otherwise numpy draws the noise and forms the LLRs.
     """
     # ebno_to_sigma2's rule: a finite, positive sigma with a finite LLR scale 2/sigma^2
     sigma2 = sigma * sigma
@@ -60,21 +60,17 @@ def awgn_bpsk_llr(x, sigma, rng):
     x = np.asarray(x)
     out = np.empty(x.shape)
     lib = _clib.library()
-    if lib is None:
-        y = rng.standard_normal(out=out)
-        y *= sigma
-        y += 1 - 2 * np.asarray(x, dtype=np.int8)  # +-1 as int8, exact in float64
-        y *= 2.0
-        y /= sigma2
-        return y
-    bits = np.ascontiguousarray(x.view(np.int8) if x.dtype == np.uint8 else x, np.int8)
-    if lib.awgn is not None and _is_pcg64(rng):
+    if lib is not None and lib.awgn is not None and _is_pcg64(rng):
+        bits = np.ascontiguousarray(x.view(np.int8) if x.dtype == np.uint8 else x, np.int8)
         _clib.pcg64_call(lib.awgn, rng, bits.ctypes.data, out.ctypes.data, out.size,
                          sigma, sigma2)
-    else:
-        rng.standard_normal(out=out)
-        lib.channel(out.ctypes.data, bits.ctypes.data, out.size, sigma, sigma2)
-    return out
+        return out
+    y = rng.standard_normal(out=out)
+    y *= sigma
+    y += 1 - 2 * np.asarray(x, dtype=np.int8)  # +-1 as int8, exact in float64
+    y *= 2.0
+    y /= sigma2
+    return y
 
 
 def _random_bits(rng, shape):

@@ -1,10 +1,10 @@
 """The compiled library, `_cengine.c`, against the numpy code it stands in for.
 
 `engine.execute` decodes fixed-point frames in the library when it loads,
-and float frames with its F, G and gathers; `encode_systematic`,
-`awgn_bpsk_llr` and `quantize_channel` run there too, as do the frame bits
-and the noise of a PCG64 Generator where numpy's libnpyrandom.a is linked
-in.  Their bit-exact reference is the numpy code: `engine._reference`, one
+and float frames with its F, G and gathers; `encode_systematic` and
+`quantize_channel` run there too, as do the frame bits and the channel LLRs
+(`awgn_bpsk_llr`) of a PCG64 Generator where numpy's libnpyrandom.a is
+linked in.  Their bit-exact reference is the numpy code: `engine._reference`, one
 loop over the program that calls the `kernels.py` formulas, for decoding,
 and numpy's own encoder, channel, quantizer and draws for the rest.
 Every comparison runs on each ISA level's build, through the `builds`
@@ -20,6 +20,7 @@ import subprocess
 import sys
 import threading
 from functools import partial
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -77,6 +78,14 @@ def sweep_codes():
             yield n, CodeSpec(frozen_mask=np.full(N, frozen))
 
 
+def rep_codes():
+    """(n, code) for the repetition codes N = 4..16 (k = 1): where the rules
+    allow REP, one REP decides the whole frame from the sum of its values."""
+    for n in (2, 3, 4):
+        natural = np.arange(1 << n) < (1 << n) - 1  # frozen but for the last leaf
+        yield n, CodeSpec(frozen_mask=natural[bit_reverse_permutation(n)])
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_c_equals_numpy(scheme, builds):
     q = parse_quant(scheme)
@@ -101,19 +110,27 @@ FLOAT_BATCHES = (0, 1, 3, 7, 128)
 
 
 def float_frames(family, n, rng):
-    """128 float frames: noise, dense in exact zeros of both signs, or huge:
-    up to the float limit 2^(1023 - n), where a G at every stage reaches 2^1023."""
+    """128 float frames: noise, dense in exact zeros of both signs, huge: up
+    to the float limit 2^(1023 - n), where a G at every stage reaches 2^1023,
+    or cancelling: +-1 and +-0 with as many 1e300 as -1e300, placed at random,
+    so that whether a sum absorbs a +-1 before its 1e300 and -1e300 cancel,
+    and with it a REP's decision, depends on the order of its additions."""
     shape = (128, 1 << n)
     if family == "noise":
         return rng.normal(0.5, 2.0, shape)
     if family == "zeros":
         return rng.choice([-2.5, -1.0, -0.0, 0.0, 0.0, 0.75, 3.0], shape)
+    if family == "cancel":
+        x = rng.choice([-1.0, -0.0, 0.0, 1.0], shape)
+        big = np.argsort(rng.random(shape), axis=1)[:, : 2 * max(1, shape[1] // 8)]
+        np.put_along_axis(x, big, np.repeat([1e300, -1e300], big.shape[1] // 2), axis=1)
+        return x
     huge = rng.choice([-1.0, -0.6, -0.35, 0.35, 0.6, 1.0], shape) * 2.0 ** (1023 - n)
     huge[:, ::7] = rng.choice([1.0, -0.0], huge[:, ::7].shape)
     return huge
 
 
-@pytest.mark.parametrize("family", ["noise", "zeros", "huge"])
+@pytest.mark.parametrize("family", ["noise", "zeros", "huge", "cancel"])
 def test_c_float_equals_numpy(family, builds):
     """Float F, G and the gathers in the library decide as the reference
     does, on every build, batch shape and rule set, for a single vector,
@@ -121,24 +138,28 @@ def test_c_float_equals_numpy(family, builds):
     intermediate zero may differ, and no decision reads it.  Huge frames, at the float limit,
     overflow no step, so neither path warns (RuntimeWarnings are errors
     here); the next double above the limit fails on both paths with one
-    ValueError that names the limit."""
+    ValueError that names the limit.  Cancelling frames, on the repetition
+    codes too, hold the library plan's REP to the reference's summation
+    order.  The reference decides each frame alone, so its decode of the
+    128 frames serves every batch and the single vector."""
     rng = np.random.default_rng(sum(map(ord, family)))
-    for n, spec in sweep_codes():
+    codes = sweep_codes() if family != "cancel" else chain(rep_codes(), sweep_codes())
+    for n, spec in codes:
         for rules in RULES:
             prog = compile_tree(build_tree(spec, 64, rules_from_names(rules)))
             x = float_frames(family, n, rng)
-            calls = [x[:b] for b in FLOAT_BATCHES] + [x[5]]
-            if family != "huge":  # float32 holds these values
-                calls.append(x.astype(np.float32))
-            want = [numpy_execute(prog, v, None) for v in calls]
+            want = numpy_execute(prog, x, None)
+            calls = [(x[:b], want[:b]) for b in FLOAT_BATCHES] + [(x[5], want[5])]
+            if family in ("noise", "zeros"):  # float32 holds these values
+                v = x.astype(np.float32)
+                calls.append((v, numpy_execute(prog, v, None)))
             # x's values in column order and strided: each decides as x does
             for v in (np.asfortranarray(x), np.repeat(x, 2, axis=1)[:, ::2]):
-                assert np.array_equal(numpy_execute(prog, v, None), want[len(FLOAT_BATCHES) - 1])
-                calls.append(v)
-                want.append(want[len(FLOAT_BATCHES) - 1])
+                assert np.array_equal(numpy_execute(prog, v, None), want)
+                calls.append((v, want))
             for level, lib in builds.items():
                 with on(lib):
-                    for v, ref in zip(calls, want):
+                    for v, ref in calls:
                         assert np.array_equal(execute(prog, v), ref), \
                             (level, n, rules, v.shape, v.dtype, v.strides)
             if family != "huge":
@@ -224,6 +245,23 @@ def test_c_encoder_equals_numpy(builds):
                     with on(lib):
                         got = [encode_systematic(b, spec) for b in inputs]
                     assert all(map(np.array_equal, got, want)), (level, n, spec.k, lead)
+
+
+def test_failed_allocation_raises_memory_error(builds, monkeypatch):
+    """The decoders and encode allocate their own workspace and return -1
+    where malloc fails, here for N = 2^58, more than an address space holds;
+    the engine and encode_systematic raise that as MemoryError."""
+    q, table = parse_quant("7:5:1"), np.zeros((0, 3), np.int64)
+    for level, lib in builds.items():
+        for name in ("decode_int8_t", "decode_int16_t", "decode_int32_t"):
+            entry = partial(getattr(lib, name), table.ctypes.data, 0, None, 58, 63, 15)
+            with pytest.raises(MemoryError, match="could not allocate"):
+                engine._run_c(entry, q, table, np.zeros((1, 4), np.int32))
+        assert lib.encode(None, None, 1 << 58, 1, None) == -1, level
+        monkeypatch.setattr(lib, "encode", lambda *args: -1)
+        with on(lib), pytest.raises(MemoryError, match="could not allocate"):
+            encode_systematic(np.zeros(8, np.uint8), construct_frozen_set(4, 8, 0.5))
+        monkeypatch.undo()
 
 
 def test_c_channel_equals_numpy_formula(builds):
@@ -391,13 +429,19 @@ def draws_of(lib):
 def test_library_exports_none_of_numpys_distributions(builds):
     """Linked with --exclude-libs on Linux, the library keeps numpy.random's
     archive to itself: none of its functions is exported, and the draws that
-    call them still pass their self-test."""
+    call them still pass their self-test.  Where nm is on PATH, each build
+    exports exactly the entries that _clib binds."""
     if not sys.platform.startswith("linux"):
         pytest.skip("--exclude-libs is a GNU ld option")
     for level, lib in builds.items():
         assert lib.draw_error is None, (level, lib.draw_error)
         assert not hasattr(lib, "random_beta"), level
         assert not hasattr(lib, "random_standard_normal"), level
+        if shutil.which("nm"):
+            nm = subprocess.run(["nm", "-D", "--defined-only", lib._name], check=True,
+                                capture_output=True, text=True).stdout
+            assert {line.split()[-1] for line in nm.splitlines()} == \
+                set(_clib._SIGNATURES | _clib._DRAWS), level
 
 
 def test_missing_archive_leaves_the_draws_to_numpy(builds, tmp_path, monkeypatch):

@@ -83,19 +83,23 @@ def test_integer_and_empty_input_in_float_domain():
 
 
 def test_warm_execute_allocates_only_its_result(builds):
-    """A warm call of the library's float plan allocates only its result."""
+    """A warm call of the library's float plan, or of its fixed-point decoder
+    on int32 frames, allocates only its result: the decoder's lane workspace
+    is the library's own, allocated and freed inside the call."""
     if not builds:
         pytest.skip("no C compiler: the reference loop has no plan, and forms arrays at each step")
     batch, n = 64, 12
     spec = construct_frozen_set(n, 3000, 0.5)
     prog = compile_tree(build_tree(spec, 256))
+    q = parse_quant("7:5:1")
     x = float_frames(n)[:batch]
-    want = execute(prog, x)  # links the plan
-    tracemalloc.start()
-    try:
-        got = execute(prog, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(got, want)
-    assert peak < 1.5 * batch * (1 << n), peak
+    for quant, v in ((None, x), (q, quantize_channel(x, q).astype(np.int32, copy=False))):
+        want = execute(prog, v, quant=quant)  # links or binds the plan
+        tracemalloc.start()
+        try:
+            got = execute(prog, v, quant=quant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want), quant
+        assert peak < 1.5 * batch * (1 << n), (quant, peak)
