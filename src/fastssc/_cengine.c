@@ -42,6 +42,16 @@
  * positions (with BMI2's pdep where the build has it), transforms with
  * in-word shift-and-mask stages and cross-word XORs, keeps, transforms again
  * and expands the words back to bytes.
+ *
+ * awgn and bits draw as numpy's Generator over PCG64 does, from one buffer of
+ * the generator's 64-bit words (stream_t), 512 at a time.  Four interleaved
+ * LCG chains fill it, each stepping four words at once, so their 128-bit
+ * multiplies overlap.  awgn runs numpy's ziggurat fast path on groups of four
+ * words (in AVX2 in the x86-64-v3 build) and keeps the values before a group's
+ * first miss; the missed value replays through numpy's own normal draw, behind
+ * the one bitgen_t shim over the buffer, which reads its further words from it
+ * and fills it again where it runs out.  bits takes whole words from the same
+ * buffer.  normal_tables probes numpy's ziggurat tables through the same shim.
  */
 #include <math.h>
 #include <stdint.h>
@@ -664,34 +674,99 @@ double random_standard_normal(bitgen_t *bitgen_state);
 
 __extension__ typedef unsigned __int128 u128;
 
-/* PCG64 (O'Neill 2014): a 128-bit LCG step, then the XSL-RR output */
-static uint64_t pcg64_next(u128 *state, u128 inc)
+#define PCG64_MULT (((u128)0x2360ED051FC65DA4u << 64) | 0x4385DF649FCCF645u)
+
+/* The LCG's n-step map, s -> mult * s + plus (Brown 1994, as numpy's
+   pcg64_advance computes it) */
+static void lcg_jump(u128 inc, uint64_t n, u128 *mult, u128 *plus)
 {
-    u128 s = *state = *state * (((u128)0x2360ED051FC65DA4u << 64) | 0x4385DF649FCCF645u) + inc;
+    u128 m = PCG64_MULT, c = inc;
+    *mult = 1, *plus = 0;
+    for (; n; n >>= 1) {
+        if (n & 1)
+            *mult *= m, *plus = *plus * m + c;
+        c *= m + 1;
+        m *= m;
+    }
+}
+
+/* PCG64's output (O'Neill 2014): XSL-RR of the state after the step */
+static uint64_t xsl_rr(u128 s)
+{
     uint64_t v = (uint64_t)(s >> 64) ^ (uint64_t)s;
     unsigned rot = (unsigned)(s >> 122);
     return (v >> rot) | (v << ((64 - rot) & 63));
 }
 
-/* The bitgen_t numpy's normal draw runs behind: its first next_uint64 returns
-   the held word, and later ones step the generator.  A probe (inc = 0, where
-   PCG64's is odd) does not step: its later words are 1 << 63, which read as a
-   next_uint64 give 0.0 at once and as a next_double give 0.5, and end the tail */
-typedef struct { u128 state, inc; uint64_t held; int calls; } shim_t;
+/* The generator's words, FILL at a time.  Four interleaved LCG chains fill the
+   buffer: chain j holds the state of word 4i + j of the fill and steps four
+   words at once, by a^4 and c (a^3 + a^2 + a + 1), so the 128-bit multiplies
+   of a round overlap where one chain waits on each.  A fill keeps the 0-3
+   words a group of four left unread */
+#define FILL 512
+typedef struct {
+    u128 start, inc, chain[4], mult4, plus4;
+    uint64_t filled;  /* words filled since the draw began */
+    int64_t pos, len; /* the next word, the words held */
+    uint64_t buf[FILL + 3];
+} stream_t;
 
-static uint64_t shim_next64(void *st)
+/* A stream from the generator's state words */
+static void stream_open(stream_t *st, const uint64_t *pcg)
 {
-    shim_t *g = st;
-    if (!g->calls++)
-        return g->held;
-    return g->inc ? pcg64_next(&g->state, g->inc) : (uint64_t)1 << 63;
+    u128 s = st->start = (u128)pcg[0] << 64 | pcg[1];
+    st->inc = (u128)pcg[2] << 64 | pcg[3];
+    lcg_jump(st->inc, 4, &st->mult4, &st->plus4);
+    for (int j = 0; j < 4; j++)
+        st->chain[j] = s = s * PCG64_MULT + st->inc;
+    st->filled = 0;
+    st->pos = st->len = 0;
 }
 
-static double shim_double(void *st) { return (double)(shim_next64(st) >> 11) * 0x1p-53; }
-
-static double replay(shim_t *g)
+static void stream_fill(stream_t *st)
 {
-    bitgen_t bg = {g, shim_next64, NULL, shim_double, NULL};
+    int64_t keep = st->len - st->pos;
+    u128 c0 = st->chain[0], c1 = st->chain[1], c2 = st->chain[2], c3 = st->chain[3];
+    u128 mult = st->mult4, plus = st->plus4;
+    memmove(st->buf, st->buf + st->pos, (size_t)keep * 8);
+    for (uint64_t *w = st->buf + keep, *end = w + FILL; w < end; w += 4) {
+        w[0] = xsl_rr(c0), w[1] = xsl_rr(c1), w[2] = xsl_rr(c2), w[3] = xsl_rr(c3);
+        c0 = c0 * mult + plus, c1 = c1 * mult + plus;
+        c2 = c2 * mult + plus, c3 = c3 * mult + plus;
+    }
+    st->chain[0] = c0, st->chain[1] = c1, st->chain[2] = c2, st->chain[3] = c3;
+    st->filled += FILL;
+    st->pos = 0;
+    st->len = keep + FILL;
+}
+
+/* The generator's state after the words read, reached from the state the draw
+   began at by one jump, into its state words */
+static void stream_close(const stream_t *st, uint64_t *pcg)
+{
+    u128 mult, plus, s;
+    lcg_jump(st->inc, st->filled - (uint64_t)(st->len - st->pos), &mult, &plus);
+    s = mult * st->start + plus;
+    pcg[0] = (uint64_t)(s >> 64);
+    pcg[1] = (uint64_t)s;
+}
+
+/* The one shim numpy's normal draw runs behind: each next_uint64 reads the
+   stream's next word, filling where none is left */
+static uint64_t stream_next(void *p)
+{
+    stream_t *st = p;
+    if (st->pos == st->len)
+        stream_fill(st);
+    return st->buf[st->pos++];
+}
+
+static double stream_double(void *p) { return (double)(stream_next(p) >> 11) * 0x1p-53; }
+
+/* numpy's normal draw from the stream's next word on */
+static double normal(stream_t *st)
+{
+    bitgen_t bg = {st, stream_next, NULL, stream_double, NULL};
     return random_standard_normal(&bg);
 }
 
@@ -700,19 +775,23 @@ static uint64_t ki[256];
 
 /* Reads numpy's ziggurat tables through its own function: the word with index
    idx and magnitude 1 gives wi[idx], and ki[idx] is the least magnitude that
-   leaves the fast path, which reads one word only */
+   leaves the fast path, which reads one word only.  A probe's stream holds its
+   word, then three words 1 << 63, which read as a next_uint64 give 0.0 at once
+   and as a next_double give 0.5, and end the tail: it reads at most those four
+   words, and never fills */
 void normal_tables(void)
 {
+    stream_t probe = {.len = 4};
+    probe.buf[1] = probe.buf[2] = probe.buf[3] = (uint64_t)1 << 63;
     for (uint64_t idx = 0; idx < 256; idx++) {
-        shim_t probe = {0, 0, 1 << 9 | idx, 0};
         uint64_t lo = 0, hi = (uint64_t)1 << 52;
-        wi[idx] = replay(&probe);
+        probe.buf[0] = 1 << 9 | idx, probe.pos = 0;
+        wi[idx] = normal(&probe);
         while (lo < hi) {
             uint64_t mid = lo + (hi - lo) / 2;
-            probe.held = mid << 9 | idx;
-            probe.calls = 0;
-            replay(&probe);
-            if (probe.calls == 1)
+            probe.buf[0] = mid << 9 | idx, probe.pos = 0;
+            normal(&probe);
+            if (probe.pos == 1)
                 lo = mid + 1;
             else
                 hi = mid;
@@ -721,50 +800,119 @@ void normal_tables(void)
     }
 }
 
-/* simulate.awgn_bpsk_llr in one pass: Generator.standard_normal's z becomes
- * the LLR ((z*sigma + (1 - 2x)) * 2) / sigma2, rounded as numpy's four passes
- * round it (the build turns off FMA contraction).  The ziggurat's fast path
- * (Marsaglia & Tsang 2000) runs here, with the sign bit XORed in; a miss
- * (~1.2% of values) replays its word through numpy's own function */
-void awgn(uint64_t *pcg, const int8_t *x, double *llr, int64_t m, double sigma, double sigma2)
+/* simulate.awgn_bpsk_llr's LLR of noise z on bit x, rounded as numpy's four
+   passes round it (the build turns off FMA contraction) */
+static double channel_llr(double z, int8_t x, double sigma, double sigma2)
 {
-    u128 s = (u128)pcg[0] << 64 | pcg[1], inc = (u128)pcg[2] << 64 | pcg[3];
-    for (int64_t i = 0; i < m; i++) {
-        uint64_t r = pcg64_next(&s, inc), idx = r & 0xff, mag = (r >> 9) & 0xfffffffffffffu, b;
+    return ((z * sigma + (int8_t)(1 - 2 * x)) * 2.0) / sigma2;
+}
+
+/* The ziggurat's fast path (Marsaglia & Tsang 2000) on words w[0..n), n <= 4,
+ * into the LLRs of bits x[0..n): z is the word's 52-bit magnitude times
+ * wi[idx], with the sign bit XORed in, where the magnitude is below ki[idx].
+ * Returns the first lane whose word misses, or n; lanes from that one on may
+ * be written, and are written again.  The x86-64-v3 build runs four lanes in
+ * AVX2: table gathers, the exact int64 -> double of a magnitude below 2^52
+ * through the 2^52 bias, and the channel's separate multiply, add, multiply
+ * and divide */
+static int64_t fast_path(const uint64_t *w, const int8_t *x, double *llr, int64_t n, double sigma,
+                         double sigma2)
+{
+#ifdef __AVX2__
+    if (n == 4) {
+        const V bias = _mm256_set1_epi64x(0x4330000000000000); /* 2^52 */
+        V r = _mm256_loadu_si256((const V *)w);
+        V idx = _mm256_and_si256(r, _mm256_set1_epi64x(0xff));
+        V mag = _mm256_and_si256(_mm256_srli_epi64(r, 9), _mm256_set1_epi64x(0xfffffffffffff));
+        V hit = _mm256_cmpgt_epi64(_mm256_i64gather_epi64((const long long *)ki, idx, 8), mag);
+        __m256d z = _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(mag, bias)),
+                                  _mm256_castsi256_pd(bias));
+        V sign = _mm256_and_si256(_mm256_slli_epi64(r, 55), _mm256_set1_epi64x(INT64_MIN));
+        int32_t x4, hits;
+        memcpy(&x4, x, 4);
+        __m128i b = _mm_cvtsi32_si128(x4), pm = _mm_sub_epi8(_mm_set1_epi8(1), _mm_add_epi8(b, b));
+        z = _mm256_mul_pd(z, _mm256_i64gather_pd(wi, idx, 8));
+        z = _mm256_xor_pd(z, _mm256_castsi256_pd(sign));
+        z = _mm256_add_pd(_mm256_mul_pd(z, _mm256_set1_pd(sigma)),
+                          _mm256_cvtepi32_pd(_mm_cvtepi8_epi32(pm)));
+        z = _mm256_div_pd(_mm256_mul_pd(z, _mm256_set1_pd(2.0)), _mm256_set1_pd(sigma2));
+        _mm256_storeu_pd(llr, z);
+        hits = _mm256_movemask_pd(_mm256_castsi256_pd(hit));
+        /* a branch, not a count alone: where all four hit, as ~95% of groups
+           do, the next group's loads need not wait for this one's gathers */
+        return hits == 15 ? 4 : __builtin_ctz((unsigned)~hits);
+    }
+#endif
+    for (int64_t j = 0; j < n; j++) {
+        uint64_t r = w[j], idx = r & 0xff, mag = (r >> 9) & 0xfffffffffffffu, b;
         double z = (double)(int64_t)mag * wi[idx];
+        if (mag >= ki[idx])
+            return j;
         memcpy(&b, &z, 8);
         b ^= (r << 55) & ((uint64_t)1 << 63);
         memcpy(&z, &b, 8);
-        if (mag >= ki[idx]) {
-            shim_t g = {s, inc, r, 0};
-            z = replay(&g);
-            s = g.state;
-        }
-        llr[i] = ((z * sigma + (int8_t)(1 - 2 * x[i])) * 2.0) / sigma2;
+        llr[j] = channel_llr(z, x[j], sigma, sigma2);
     }
-    pcg[0] = (uint64_t)(s >> 64);
-    pcg[1] = (uint64_t)s;
+    return n;
+}
+
+/* simulate.awgn_bpsk_llr in one pass: Generator.standard_normal's z becomes
+ * the LLR ((z*sigma + (1 - 2x)) * 2) / sigma2.  The fast path runs on groups
+ * of four words; the values before a group's first miss (~1.2% of words miss)
+ * are kept, the missed value replays through numpy's own function, which
+ * reads its further words from the stream, and the next group starts at the
+ * word after them.  The last values of a draw, fewer than four, run lane by
+ * lane */
+void awgn(uint64_t *pcg, const int8_t *x, double *llr, int64_t m, double sigma, double sigma2)
+{
+    stream_t st;
+    stream_open(&st, pcg);
+    for (int64_t i = 0; i < m;) {
+        int64_t n = m - i < 4 ? m - i : 4, f;
+        if (st.len - st.pos < n)
+            stream_fill(&st);
+        f = fast_path(st.buf + st.pos, x + i, llr + i, n, sigma, sigma2);
+        st.pos += f, i += f;
+        if (f < n) {
+            llr[i] = channel_llr(normal(&st), x[i], sigma, sigma2);
+            i++;
+        }
+    }
+    stream_close(&st, pcg);
+}
+
+/* Bits out[0..n), n <= 8, from the low n bytes of w: each byte's top bit */
+static void spread(uint64_t w, uint8_t *out, int64_t n)
+{
+    uint64_t y = (w >> 7) & 0x0101010101010101u;
+    for (int64_t e = 0; e < n; e++) /* compilers merge the stores */
+        out[e] = (uint8_t)(y >> 8 * e);
 }
 
 /* Generator.integers(0, 2, m, dtype=np.uint8): Lemire's method over the bytes
- * of next_uint32 words, which for two values is each byte's top bit */
+ * of next_uint32 words, which for two values is each byte's top bit.  The
+ * held high half of a word (has_uint32) gives the first four bits, whole
+ * words of the stream give eight each, and a last word that gives four or
+ * fewer leaves its high half held.  As in numpy, uinteger keeps the high half
+ * of the last word drawn */
 void bits(uint64_t *pcg, uint8_t *out, int64_t m)
 {
-    u128 s = (u128)pcg[0] << 64 | pcg[1], inc = (u128)pcg[2] << 64 | pcg[3];
-    uint64_t has_uint32 = pcg[4], uinteger = pcg[5];
-    for (int64_t i = 0; i < m; i += 4, has_uint32 ^= 1) {
-        uint64_t w = uinteger;
-        if (!has_uint32) {
-            w = pcg64_next(&s, inc);
-            uinteger = w >> 32;
-        }
-        for (int j = 0; j < 4 && i + j < m; j++)
-            out[i + j] = (w >> (8 * j + 7)) & 1;
+    uint64_t w = pcg[5] << 32; /* the last word drawn */
+    int64_t i = 0;
+    stream_t st;
+    stream_open(&st, pcg);
+    if (pcg[4] && m) {
+        spread(pcg[5], out, m < 4 ? m : 4);
+        i = 4, pcg[4] = 0;
     }
-    pcg[0] = (uint64_t)(s >> 64);
-    pcg[1] = (uint64_t)s;
-    pcg[4] = has_uint32;
-    pcg[5] = uinteger;
+    for (; m - i >= 8; i += 8)
+        spread(w = stream_next(&st), out + i, 8);
+    if (i < m) {
+        spread(w = stream_next(&st), out + i, m - i);
+        pcg[4] = m - i <= 4;
+    }
+    pcg[5] = w >> 32;
+    stream_close(&st, pcg);
 }
 #endif
 

@@ -12,9 +12,13 @@ the machine type, so a cache shared between CPUs stays safe.
 
 Where numpy ships numpy.random's static library, numpy/random/lib/
 libnpyrandom.a, the build links it in and compiles the draws of a PCG64
-Generator: the frame bits and the channel noise, whose ziggurat misses run
-numpy's own normal draw.  The key then covers numpy's version and the
-archive's crc32 too.  On Linux the link adds -Wl,--exclude-libs,ALL, so
+Generator: the frame bits and the channel noise.  Both read the generator's
+words from a buffer of 512 that four interleaved LCG chains fill.  The noise
+runs numpy's ziggurat fast path on groups of four words (in AVX2 in the
+x86-64-v3 build); a group keeps its values before its first miss, and the
+missed value replays through numpy's own normal draw, which reads its
+further words from the same buffer.  The key then covers numpy's version
+and the archive's crc32 too.  On Linux the link adds -Wl,--exclude-libs,ALL, so
 the library exports none of the archive's functions.  Each loaded build
 runs a self-test against numpy's draws; with no archive, or a failed
 self-test, its `awgn` and `bits` are None and `draw_error` says why, and
@@ -74,7 +78,9 @@ _DRAWS = {
 }
 _FAILURES = (OSError, RuntimeError, subprocess.SubprocessError)
 _M64 = (1 << 64) - 1
-_SELF_TEST_SEED = 19  # its 4097 normals after 4097 bits hold 4 tail values, |z| > 3.654
+# its 4097 normals after 4097 bits hold 4 tail values, |z| > 3.654, read more
+# than one buffer of words, and miss the fast path at each lane of a group
+_SELF_TEST_SEED = 19
 
 
 def _once(fn):

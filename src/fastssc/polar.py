@@ -198,11 +198,16 @@ def _phi_log_inv(lv):
     until every step is under 1e-12 or for 60 iterations.  A value whose
     update leaves x unchanged (also one clamped at _GA_SPLIT) is at a fixed
     point: every later iteration computes the same step for it, as numpy's
-    log and log1p give a value the same result wherever it sits.  Once at
-    most half of the values still move, the fixed ones are written out and
-    dropped, and the largest of their |step| stays in the exit test, so the
-    loop runs exactly as many iterations as over the full array and every
-    result is the same to the bit.
+    log and log1p give a value the same result wherever it sits.  A value
+    whose update returns x to where it was two iterations back is in a
+    two-cycle: later iterations alternate its two values and its two steps.
+    Once at most half of the values still move, the others are dropped: a
+    fixed point is written out, a two-cycle keeps its value at even and at
+    odd iterations until the loop ends, and their |step| at each parity
+    stays in the exit test, so the loop runs exactly as many iterations as
+    over the full array and every result is the same to the bit.  Two-cycles
+    are looked for only from the iteration after the first drop, when few
+    values are left, so that the full array does not pay for the test.
     """
     lv = np.asarray(lv, dtype=np.float64)
     out = np.empty_like(lv)
@@ -211,23 +216,40 @@ def _phi_log_inv(lv):
     idx = np.flatnonzero(~easy)
     t = lv[idx]
     x = -4.0 * t  # dominant -x/4 term makes this a tight start
-    parked = 0.0  # the largest |step| of the dropped values
-    for _ in range(60):
-        if not x.size:
-            break
+    back = x  # x one iteration back
+    parked = [0.0, 0.0]  # the largest |step| of the dropped values at even and odd iterations
+    cycles = []  # the dropped two-cycles: (positions, x, x one iteration back, iteration)
+    dropped = False
+    for it in range(1, 61):
+        if not x.size:  # the dropped values' steps alone decide the exit
+            if parked[it % 2] < 1e-12:
+                break
+            continue
         g = -x / 4.0 + 0.5 * (_LN_PI - np.log(x)) + np.log1p(-10.0 / (7.0 * x)) - t
         gp = -0.25 - 0.5 / x + 10.0 / (x * (7.0 * x - 10.0))
         step = g / gp
         nx = np.maximum(x - step, _GA_SPLIT)
-        mag, moving, x = np.abs(step), nx != x, nx
-        if parked < 1e-12 and mag.max() < 1e-12:  # a NaN step never exits
+        mag, moving = np.abs(step), nx != x
+        if dropped:  # a two-cycle counts as not moving too
+            moving &= nx != back
+        back, x = x, nx
+        if parked[it % 2] < 1e-12 and mag.max() < 1e-12:  # a NaN step never exits
             break
         if 2 * np.count_nonzero(moving) <= x.size:
-            fixed = ~moving
+            fixed = x == back
+            cycling = ~(moving | fixed)
             out[idx[fixed]] = x[fixed]
-            parked = max(parked, mag[fixed].max())
-            idx, t, x = idx[moving], t[moving], x[moving]
+            parked = [max(p, mag[fixed].max(initial=0.0)) for p in parked]
+            dropped = True
+            if cycling.any():  # its step at this iteration's parity, and the last one's
+                cycles.append((idx[cycling], x[cycling], back[cycling], it))
+                parked[it % 2] = max(parked[it % 2], mag[cycling].max())
+                parked[1 - it % 2] = max(parked[1 - it % 2], back_mag[cycling].max())
+            idx, t, x, back, mag = idx[moving], t[moving], x[moving], back[moving], mag[moving]
+        back_mag = mag
     out[idx] = x
+    for pos, now, before, at in cycles:  # the value at the last iteration's parity
+        out[pos] = now if (it - at) % 2 == 0 else before
     return out
 
 

@@ -272,16 +272,18 @@ def test_c_channel_equals_numpy_formula(builds):
         with on(None):
             want = awgn_bpsk_llr(x, sigma, np.random.default_rng(44))
         for level, lib in builds.items():
+            assert lib.awgn is not None, (level, lib.draw_error)
             with on(lib):
                 got = awgn_bpsk_llr(x, sigma, np.random.default_rng(44))
             assert np.array_equal(got, want), (level, sigma)
 
 
-def draw_pair(seed):
-    """Two equal generators over PCG64, each with a uint32 half buffered."""
+def draw_pair(seed, held=1):
+    """Two equal generators over PCG64, each with a uint32 half buffered
+    (has_uint32) where held is 1."""
     rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))) for _ in "ab"]
     for rng in rngs:
-        rng.integers(0, 2**32, dtype=np.uint32)
+        rng.integers(0, 2**32, held, dtype=np.uint32)
     return rngs
 
 
@@ -306,26 +308,86 @@ def test_c_draws_equal_numpy_bit_for_bit(builds):
                 assert np.array_equal(got_rng.random(3), want_rng.random(3))
 
 
+def test_c_bits_at_the_buffer_edges(builds):
+    """The library reads the generator's words from a buffer of 512, 4096
+    bits: draws that end just before, at and past its end, from a whole word
+    or from a held uint32 half, take numpy's bits and leave its state."""
+    for level, lib in builds.items():
+        assert lib.bits is not None, (level, lib.draw_error)
+        for held in (0, 1):
+            for n in (4095, 4096, 4097, 4100):
+                want_rng, got_rng = draw_pair(n, held)
+                with on(None):
+                    want = simulate._random_bits(want_rng, (n,))
+                with on(lib):
+                    got = simulate._random_bits(got_rng, (n,))
+                assert np.array_equal(got, want), (level, held, n)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                assert np.array_equal(got_rng.integers(0, 2, 9, np.uint8),
+                                      want_rng.integers(0, 2, 9, np.uint8))
+
+
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+INC = 0x5851F42D4C957F2D14057B7EF767814F
 
 
-def drawing(word, inc=0x5851F42D4C957F2D14057B7EF767814F):
-    """A Generator over PCG64 whose next 64-bit word is `word`: a state whose
-    XSL-RR output is the word, stepped back through the LCG."""
+def drawing(word, inc=INC, at=0):
+    """A Generator over PCG64 whose 64-bit word number `at` (0: the next) is
+    `word`: a state whose XSL-RR output is the word, stepped back through the
+    LCG, `at` words further for a later word."""
     rot, hi = 23, 23 << 58 | 0x0545F4914F6CDD1D
     lo = hi ^ ((word << rot | word >> 64 - rot) & (1 << 64) - 1)
-    state = ((hi << 64 | lo) - inc) * pow(PCG64_MULT, -1, 1 << 128) % (1 << 128)
+    state = hi << 64 | lo
+    for _ in range(at + 1):
+        state = (state - inc) * pow(PCG64_MULT, -1, 1 << 128) % (1 << 128)
     bit_generator = np.random.PCG64()
     bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                            "has_uint32": 0, "uinteger": 0}
     return np.random.Generator(bit_generator)
 
 
+def words_read(rng, n):
+    """The number of 64-bit words each of rng's next n normals reads, as
+    numpy draws them, from a copy of its state: 1 on the ziggurat's fast
+    path, more where a value leaves it."""
+    state = rng.bit_generator.state
+    walker = np.random.PCG64()
+    walker.state = state
+    position = {}
+    for k in range(2 * n + 64):
+        position[walker.state["state"]["state"]] = k
+        walker.random_raw()
+    copy = np.random.Generator(np.random.PCG64())
+    copy.bit_generator.state = state
+    ends = []
+    for _ in range(n):
+        copy.standard_normal()
+        ends.append(position[copy.bit_generator.state["state"]["state"]])
+    return np.diff(ends, prepend=0)
+
+
+def placed(word, at):
+    """drawing(word, inc, at) with the first increment inc, stepping from
+    INC, whose `at` words before `word` all take the fast path.  The library
+    runs the fast path on groups of four words, from the draw's first word
+    on, each group starting where the last one's values end: `word` then
+    sits at lane `at % 4` of its group."""
+    for inc in range(INC, INC + 200, 2):
+        rng = drawing(word, inc, at)
+        if (words_read(rng, at) == 1).all():
+            return rng
+    raise AssertionError("no increment places the word")
+
+
 def test_c_normal_draw_at_the_fast_path_edges(builds):
     """numpy's ziggurat takes a word's 52-bit magnitude m on its fast path
     when m < ki[index]; at m = ki it reads more words (a wedge, or the tail
     at index 0).  The edge is found through numpy alone, by bisection over
-    crafted words; the library agrees on both sides of it, for both signs."""
+    crafted words; the library agrees on both sides of it, for both signs,
+    with the word at each lane of a group of four and as the last word of
+    the library's first buffer of 512, and then draws on for 8 values.  An
+    index-0 tail value on that last word, after 511 fast ones, reads its
+    further words from the next buffer."""
     assert drawing(12345).bit_generator.random_raw() == 12345
 
     def fast(word):
@@ -344,24 +406,48 @@ def test_c_normal_draw_at_the_fast_path_edges(builds):
         for mag in {0, max(lo - 1, 0), lo, min(lo + 1, (1 << 52) - 1), (1 << 52) - 1}:
             for sign in (0, 1):
                 word = mag << 9 | sign << 8 | idx
-                with on(None):
-                    rng = drawing(word)
-                    want = awgn_bpsk_llr(np.zeros(3, np.uint8), 1.5, rng), rng.bit_generator.state
-                for level, lib in builds.items():
-                    with on(lib):
-                        rng = drawing(word)
-                        got = awgn_bpsk_llr(np.zeros(3, np.uint8), 1.5, rng)
-                    assert np.array_equal(got.view(np.int64), want[0].view(np.int64)), \
-                        (level, idx, mag, sign)
-                    assert rng.bit_generator.state == want[1]
+                draws_agree(drawing(word).bit_generator.state, 3, builds, (idx, mag, sign))
+                for at in (0, 1, 2, 3, 511):
+                    rng = placed(word, at) if at < 4 else drawing(word, at=at)
+                    draws_agree(rng.bit_generator.state, at + 8, builds, (idx, mag, sign, at))
+    # the tail: after 511 fast values, word 511 reads words 512 and 513 from the next fill
+    tail = drawing((1 << 52) - 1 << 9, 0x5851F42D4C957F2D14057B7EF767978F, at=511)
+    assert list(words_read(tail, 512)) == [1] * 511 + [3]
+    draws_agree(tail.bit_generator.state, 520, builds, "tail")
+
+
+def draws_agree(state, n, builds, case):
+    """The n channel LLRs drawn from a PCG64 state, and the state after them,
+    are numpy's on every build."""
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    with on(None):
+        want = awgn_bpsk_llr(np.zeros(n, np.uint8), 1.5, rng), rng.bit_generator.state
+    for level, lib in builds.items():
+        assert lib.awgn is not None, (level, lib.draw_error)
+        rng.bit_generator.state = state
+        with on(lib):
+            got = awgn_bpsk_llr(np.zeros(n, np.uint8), 1.5, rng)
+        assert np.array_equal(got.view(np.int64), want[0].view(np.int64)), (level, case)
+        assert rng.bit_generator.state == want[1], (level, case)
 
 
 def test_self_test_draws_tail_values():
     """The load-time self-test's normals reach past the ziggurat's base strip,
-    into the tail that numpy's own code draws."""
+    into the tail that numpy's own code draws.  They also miss the fast path
+    at each lane of the library's groups of four (see `placed`), and read
+    more than the 512 words of one buffer."""
     rng = np.random.Generator(np.random.PCG64(_clib._SELF_TEST_SEED))
     rng.integers(0, 2, 4097, dtype=np.uint8)
+    used = words_read(rng, 4097)
     assert np.count_nonzero(np.abs(rng.standard_normal(4097)) > 3.6541528853610088) >= 3
+    lanes, first = set(), 0
+    while first + 4 <= used.size:
+        miss = next((j for j in range(4) if used[first + j] > 1), None)
+        lanes.add(miss)
+        first += 4 if miss is None else miss + 1
+    assert lanes == {None, 0, 1, 2, 3}
+    assert used.sum() > 512
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64DXSM,
@@ -387,6 +473,7 @@ def test_threads_sharing_a_generator_take_its_lock(builds):
         ref = np.random.default_rng(9)
         want = sorted(awgn_bpsk_llr(x, 0.6, ref).tobytes() for _ in range(40))
     for level, lib in builds.items():
+        assert lib.awgn is not None, (level, lib.draw_error)
         rng = np.random.default_rng(9)
         with on(lib):
             rng.bit_generator.lock.acquire()

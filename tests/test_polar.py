@@ -234,23 +234,40 @@ def test_ga_means_match_the_plain_newton_loop(monkeypatch):
 
 
 def test_parked_steps_count_in_the_exit_test(monkeypatch):
-    """A value held at a fixed point with a step of 1e-12 or more keeps the
-    loop running, so the others go on moving as they would without parking.
+    """A value held at a fixed point or in a two-cycle with a step of 1e-12
+    or more keeps the loop running, so the others go on moving as they would
+    without parking, and a two-cycle ends on its value at the last
+    iteration's parity.
 
     With the fit's own constants every fixed point found has a zero step, so
     the clamp is raised: -3.5 has its root below 12 and stays clamped there.
     The second value ends up cycling between two floats, and the last two
     reach fixed points early, so the clamped value is dropped while the
     cycling one still moves.
+
+    With the fit's constants, the first value of each of the last two
+    arrays cycles from iteration 4 with steps of ~1.8e-12.  Two-cycles are
+    looked for from the iteration after the first drop.  In the first array
+    the other two are fixed from iteration 3, so the cycle is dropped at
+    iteration 4; in the second they are fixed from iteration 4, and it is
+    dropped at iteration 5.  Both loops run to iteration 60.
     """
-    monkeypatch.setattr(polar, "_GA_SPLIT", 12.0)
-    lv = np.array([-3.5] + [float.fromhex(h) for h in (
-        "-0x1.3b5e235b6fc69p+2", "-0x1.326dbbfd8ab6cp+2", "-0x1.33955812427d8p+3")])
-    iterations = []
-    want = reference_phi_log_inv(lv, iterations)
-    assert iterations == [60]
-    assert want[0] == 12.0
-    assert np.array_equal(polar._phi_log_inv(lv), want)
+    with monkeypatch.context() as m:
+        m.setattr(polar, "_GA_SPLIT", 12.0)
+        lv = np.array([-3.5] + [float.fromhex(h) for h in (
+            "-0x1.3b5e235b6fc69p+2", "-0x1.326dbbfd8ab6cp+2", "-0x1.33955812427d8p+3")])
+        iterations = []
+        want = reference_phi_log_inv(lv, iterations)
+        assert iterations == [60]
+        assert want[0] == 12.0
+        assert np.array_equal(polar._phi_log_inv(lv), want)
+    for hexes in (("-0x1.b0894e6195ed3p+11", "-0x1.23a3d09e34cf7p+8", "-0x1.b481a03609851p+7"),
+                  ("-0x1.1fe364f73a79ap+11", "-0x1.33955812427d8p+3", "-0x1.cc4142823899dp+2")):
+        lv = np.array([float.fromhex(h) for h in hexes])
+        iterations = []
+        want = reference_phi_log_inv(lv, iterations)
+        assert iterations == [60]
+        assert np.array_equal(polar._phi_log_inv(lv), want), hexes
 
 
 @pytest.mark.parametrize("n_bits, k, crc", [(15, 29492, 0x8AD12FD5), (16, 58000, 0x799C934C)])
