@@ -1,7 +1,7 @@
 /* Compiled batch steps for fastssc: the fixed-point decoder interpreter, the
- * float decoder's F, G and bit-reversal gathers, the systematic encoder and
- * the channel quantizer, and, where numpy.random's static library is linked
- * in, the frame bits and the AWGN channel LLRs drawn as numpy's PCG64
+ * float decoder's F, G, REP and bit-reversal gathers, the systematic encoder
+ * and the channel quantizer, and, where numpy.random's static library is
+ * linked in, the frame bits and the AWGN channel LLRs drawn as numpy's PCG64
  * Generator draws them.
  *
  * fastssc._clib builds this file with the system C compiler on first use and
@@ -32,8 +32,8 @@
  * within [-lim, lim]; a decode returns 1, and stops, at the first group with
  * one outside.
  *
- * f_rows, g_rows, gather_double and gather_uint8_t are steps of the float
- * plans that engine._link builds over numpy buffers, one frame per row;
+ * f_rows, g_rows, rep_rows, gather_double and gather_uint8_t are steps of the
+ * float plans that engine._link builds over numpy buffers, one frame per row;
  * numpy runs the rest of those plans.  gather_double checks the float limit
  * of the input, as the fixed-point load checks the channel range.
  *
@@ -508,14 +508,14 @@ DECODER(int8_t, wide_int8_t)
 DECODER(int16_t, wide_int16_t)
 DECODER(int32_t, wide_int32_t)
 
-/* The float F and G of the engine's linked float plans, over `rows` frames of its
- * (B, 2^s) stage buffers: row r of a step's input holds the halves a and b,
- * `size` values each, at in + 2*size*r, and its output row starts at out +
- * size*r; G reads row r's left decisions at left + n*r, in the (B, N)
- * decision array, and G-0R passes left NULL.  The values are the kernels'
- * f_op and g_op: G is b - a where the left decision is 1, else b + a, with no
- * clip; within gather_double's limit no G overflows.  A zero's sign may
- * differ from numpy's; no decision reads it. */
+/* The float F and G of the engine's linked float plans (their REP, rep_rows,
+ * follows g_rows), over `rows` frames of its (B, 2^s) stage buffers: row r of
+ * a step's input holds the halves a and b, `size` values each, at in +
+ * 2*size*r, and its output row starts at out + size*r; G reads row r's left
+ * decisions at left + n*r, in the (B, N) decision array, and G-0R passes left
+ * NULL.  The values are the kernels' f_op and g_op: G is b - a where the left
+ * decision is 1, else b + a, with no clip; within gather_double's limit no G
+ * overflows.  A zero's sign may differ from numpy's; no decision reads it. */
 F_OF(double)
 
 void f_rows(const double *in, double *out, int64_t rows, int64_t size)
@@ -538,6 +538,19 @@ void g_rows(const double *in, const uint8_t *left, double *out, int64_t rows, in
         const uint8_t *restrict l = left + n * r;
         for (int64_t i = 0; i < size; i++)
             o[i] = b[i] + (l[i] ? -a[i] : a[i]);
+    }
+}
+
+/* REP in SC's order: each row of `size` values at v + size*r adds its halves
+ * in place as G-0R does, b + a, until one value is left, and sets the row's
+ * `size` decisions at dst + n*r to 1 where that value is < 0. */
+void rep_rows(double *v, uint8_t *dst, int64_t rows, int64_t size, int64_t n)
+{
+    for (int64_t r = 0; r < rows; r++, v += size, dst += n) {
+        for (int64_t h = size / 2; h > 0; h /= 2)
+            for (int64_t i = 0; i < h; i++)
+                v[i] = v[h + i] + v[i];
+        memset(dst, v[0] < 0, (size_t)size);
     }
 }
 

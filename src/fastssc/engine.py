@@ -43,17 +43,18 @@ n_bits as int64) and the scheme, for every batch size.
 Float calls on the library run a linked plan whose heaviest steps are its
 double-precision entries over the plan's buffers: `f_rows` and `g_rows` for
 every F, G and G-0R and for the G inside P-R1, P-RSPC, P-01, P-0SPC and
-REP-SPC (and REP-SPC's F), `gather_double` to bring the input into the plan
-and `gather_uint8_t` to bring the decisions out.  The input gather checks
-each value against the float limit of `check_channel_llrs`, in place of its
-min and max pass.  Within it no float step overflows, so F has no NaN rule.
-F and G are the kernels' formulas, with no clip, so they decide bit for bit
-as the reference does; only the sign of an intermediate zero may differ,
-and no decision reads it.  REP, SPC, ML4, COMBINE and the hard decisions
-are in-place numpy steps that equal the kernels: their float bit-exactness
-rests on numpy's pairwise REP summation order over C-ordered rows, where
-integer sums are exact in any order.  ML4 writes out its four scores as the
-C interpreter does, so a frame decides the same in any batch.
+REP-SPC (and REP-SPC's F), `rep_rows` for every REP and REP-SPC's REP half,
+`gather_double` to bring the input into the plan and `gather_uint8_t` to
+bring the decisions out.  The input gather checks each value against the
+float limit of `check_channel_llrs`, in place of its min and max pass.
+Within it no float step overflows, so F has no NaN rule.  F and G are the
+kernels' formulas, with no clip, so they decide bit for bit as the
+reference does; only the sign of an intermediate zero may differ, and no
+decision reads it.  REP sums as the kernels and SC do, adding halves, b +
+a, in place until one value is left.  SPC, ML4, COMBINE and the hard
+decisions are in-place numpy steps that equal the kernels.  ML4 writes out
+its four scores as the C interpreter does, so a frame decides the same in
+any batch.
 
 The first float call for a given batch size B and library links the
 program: one walk over the table binds each instruction to its operands,
@@ -71,8 +72,8 @@ cast to float64 or a copy to be contiguous for the gather.  A plan holds
 - one natural-order (B, N) beta array, one byte per decision, so COMBINE is
   an in-place XOR of a node's halves, COMBINE-0R a half copy, and merged
   and leaf steps write their slice directly;
-- row scratch for the leaf steps: a (B, 1) sum and decision, a (B,) parity
-  and index, and (B, 4) ML4 scores.
+- row scratch for the leaf steps: a (B,) parity and index, and (B, 4) ML4
+  scores.
 
 Leaf and P-* steps decode in place, with the kernels' results.  The stage
 s-1 alpha buffer is free while a stage-s node closes, so P-* write their G
@@ -169,7 +170,7 @@ def _reference(program, x, sat):
     so the rate-0 left sibling that G-0R, COMBINE-0R, P-01 and P-0SPC imply
     reads as the zeros it decides."""
     rev, dtype = bit_reverse_permutation(program.n_bits), np.float64 if sat is None else np.int64
-    # np.take gathers into a C-ordered root, which REP sums pairwise, row by row
+    # the root: the channel rows gathered from transmission into natural order
     alpha = {program.n_bits: np.take(x, rev, axis=1).astype(dtype, copy=False)}
     beta = np.zeros(x.shape, np.uint8)
     try:
@@ -225,15 +226,13 @@ def _run(lib, steps, alpha, beta, x):
 
 def _link(program, batch, lib):
     """Bind every instruction of a float plan to freshly planned buffers:
-    every F and G, G-0R, the merged steps' G and REP-SPC's F included, is
-    the library's f_rows or g_rows over the buffers' addresses, and the rest
-    are numpy steps over views of them."""
+    every F and G (G-0R, the merged steps' G and REP-SPC's F included) and
+    every REP (REP-SPC's included) is the library's f_rows, g_rows or
+    rep_rows over the buffers' addresses; the rest are numpy steps."""
     n, N = program.n_bits, program.N
     alpha = [np.empty((batch, 1 << s)) for s in range(n + 1)]
     beta = np.zeros((batch, N), np.bool_)
     # row scratch of the leaf steps
-    acc = np.empty((batch, 1))
-    d = np.empty((batch, 1), np.bool_)
     rows = (np.empty(batch, np.uint8), np.empty(batch, np.intp), np.arange(batch))
     scores = np.empty((batch, 4))
 
@@ -245,6 +244,11 @@ def _link(program, batch, lib):
         """G of the halves of up's rows into out, left the decided left sibling (None: G-0R)."""
         return partial(lib.g_rows, up.ctypes.data, None if left is None else left.ctypes.data,
                        out.ctypes.data, batch, out.shape[1], N)
+
+    def rep(values, dst):
+        """REP of values' rows, halved in place, into the decisions dst."""
+        return partial(lib.rep_rows, values.ctypes.data, dst.ctypes.data, batch,
+                       values.shape[1], N)
 
     steps = []
     for op, s, lo in program.table.tolist():
@@ -267,7 +271,7 @@ def _link(program, batch, lib):
         elif op is Opcode.R1:
             steps.append(partial(np.less, alpha[s], 0, out=node))
         elif op is Opcode.REP:
-            steps.append(partial(_rep, alpha[s], node, acc, d))
+            steps.append(rep(alpha[s], node))
         elif op is Opcode.ML:
             steps.append(partial(_ml4, alpha[s], node, scores, rows[1]))
         else:
@@ -279,7 +283,7 @@ def _link(program, batch, lib):
                       else partial(np.less, values, 0, out=right))
             merged = [g(alpha[s], None if row.zero_left else left, values), decide, close]
             if op is Opcode.REP_SPC:
-                merged[:0] = [f(alpha[s], values), partial(_rep, values, left, acc, d)]
+                merged[:0] = [f(alpha[s], values), rep(values, left)]
             steps.append(partial(_seq, *merged))
     return partial(_run, lib, steps, alpha, beta)
 
@@ -320,13 +324,6 @@ def _spc(values, dst, parity, least, frames):
     np.abs(values, out=values)
     np.argmin(values, axis=1, out=least)
     dst[frames, least] ^= parity.view(np.bool_)
-
-
-def _rep(values, dst, acc, d):
-    """Repetition, equals decode_rep: the sign of the sum, broadcast."""
-    np.add.reduce(values, axis=1, out=acc, keepdims=True)
-    np.less(acc, 0, out=d)
-    np.copyto(dst, d)
 
 
 def _seq(*steps):

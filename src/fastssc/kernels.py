@@ -93,18 +93,18 @@ def decode_spc(alpha):
 def decode_rep(alpha):
     """Repetition decoding: replicate the sign of the sum (>= 0 gives 0).
 
-    Integer input is accumulated in int64 with no saturation.  Float input
-    is summed in numpy's pairwise order over C-ordered rows, whatever the
-    layout it comes in, so a frame's decision does not depend on it.
+    The sum is SC's, which it reaches through G-0R steps: halves added as
+    b + a until one value is left, in int64 with no saturation (exact in any
+    order) or in float64, so a frame decides alike in any layout and batch.
     """
     alpha = np.asarray(alpha)
-    n = alpha.shape[-1]
-    if n < 2:
+    if alpha.shape[-1] < 2:
         raise ValueError("repetition needs at least 2 values")
-    acc = np.int64 if np.issubdtype(alpha.dtype, np.integer) else np.float64
-    s = np.asarray(np.ascontiguousarray(alpha).sum(axis=-1, dtype=acc))
-    bit = (s < 0).astype(np.uint8)
-    return np.broadcast_to(bit[..., None], alpha.shape[:-1] + (n,)).copy()
+    v = np.asarray(alpha, np.int64 if np.issubdtype(alpha.dtype, np.integer) else np.float64)
+    while v.shape[-1] > 1:
+        a, b = _halves(v)
+        v = b + a
+    return np.broadcast_to((v < 0).astype(np.uint8), alpha.shape).copy()
 
 
 def decode_rep_spc(alpha, sat=None):
@@ -119,13 +119,10 @@ def decode_rep_spc(alpha, sat=None):
     if alpha.shape[-1] != 8:
         raise ValueError(f"expected length 8, got {alpha.shape[-1]}")
     a, b = _halves(alpha)
-    rep_in = f_op(a, b)
-    acc = np.int64 if np.issubdtype(alpha.dtype, np.integer) else np.float64
-    d = (np.asarray(rep_in.sum(axis=-1, dtype=acc)) < 0).astype(np.uint8)
+    beta_rep = decode_rep(f_op(a, b))
     beta0 = decode_spc(g_op(a, b, 0, sat))
     beta1 = decode_spc(g_op(a, b, 1, sat))
-    beta_spc = np.where(d[..., None] != 0, beta1, beta0).astype(np.uint8)
-    beta_rep = np.broadcast_to(d[..., None], beta_spc.shape)
+    beta_spc = np.where(beta_rep != 0, beta1, beta0).astype(np.uint8)
     return combine_op(beta_rep, beta_spc)
 
 

@@ -78,10 +78,11 @@ def sweep_codes():
             yield n, CodeSpec(frozen_mask=np.full(N, frozen))
 
 
-def rep_codes():
-    """(n, code) for the repetition codes N = 4..16 (k = 1): where the rules
-    allow REP, one REP decides the whole frame from the sum of its values."""
-    for n in (2, 3, 4):
+def rep_codes(ns=(2, 3, 4)):
+    """(n, code) for the repetition codes N = 2^n (k = 1), by default N =
+    4..16: where the rules allow REP, one REP decides the whole frame from
+    the sum of its values."""
+    for n in ns:
         natural = np.arange(1 << n) < (1 << n) - 1  # frozen but for the last leaf
         yield n, CodeSpec(frozen_mask=natural[bit_reverse_permutation(n)])
 
@@ -139,9 +140,10 @@ def test_c_float_equals_numpy(family, builds):
     overflow no step, so neither path warns (RuntimeWarnings are errors
     here); the next double above the limit fails on both paths with one
     ValueError that names the limit.  Cancelling frames, on the repetition
-    codes too, hold the library plan's REP to the reference's summation
+    codes too, hold the library plan's REP to the reference's SC halving
     order.  The reference decides each frame alone, so its decode of the
-    128 frames serves every batch and the single vector."""
+    128 frames serves every batch and the single vector, which comes right
+    after B = 1 and runs on its plan."""
     rng = np.random.default_rng(sum(map(ord, family)))
     codes = sweep_codes() if family != "cancel" else chain(rep_codes(), sweep_codes())
     for n, spec in codes:
@@ -149,7 +151,8 @@ def test_c_float_equals_numpy(family, builds):
             prog = compile_tree(build_tree(spec, 64, rules_from_names(rules)))
             x = float_frames(family, n, rng)
             want = numpy_execute(prog, x, None)
-            calls = [(x[:b], want[:b]) for b in FLOAT_BATCHES] + [(x[5], want[5])]
+            calls = [(x[:b], want[:b]) for b in FLOAT_BATCHES]
+            calls.insert(FLOAT_BATCHES.index(1) + 1, (x[5], want[5]))
             if family in ("noise", "zeros"):  # float32 holds these values
                 v = x.astype(np.float32)
                 calls.append((v, numpy_execute(prog, v, None)))
@@ -169,6 +172,24 @@ def test_c_float_equals_numpy(family, builds):
             for lib in [None, *builds.values()]:
                 with on(lib), pytest.raises(ValueError, match=rf"\+-2\^{1023 - n} "):
                     execute(prog, above)
+
+
+def test_float_rep_decides_as_sc(builds):
+    """Float REP sums in SC's order, adding halves as its G-0R steps do, b +
+    a, until one value is left.  On the repetition codes N = 4..1024 (k =
+    1; from N = 32 on, G-0R steps lead down to a REP of 16), float execute
+    equals sc_decode on frames of +-1e300, +-1, 0, 2 and -3, where a sum's
+    sign depends on the order of its additions, on the numpy steps and on
+    every build.  REP-SPC codes are left out: where Wagner's SPC half meets
+    a tie it decides otherwise than SC, in any order."""
+    rng = np.random.default_rng(26)
+    for n, spec in rep_codes(range(2, 11)):
+        prog = compile_tree(build_tree(spec, 64, rules_from_names("spc,rep,rep-spc")))
+        x = rng.choice([1e300, -1e300, 1.0, -1.0, 0.0, 2.0, -3.0], (2000, 1 << n))
+        want = sc_decode(x, spec)
+        for lib in [None, *builds.values()]:
+            with on(lib):
+                assert np.array_equal(execute(prog, x), want), (n, lib)
 
 
 @pytest.mark.parametrize("n", [5, 10])  # the gather's n < 64 loop, and its tiles

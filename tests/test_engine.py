@@ -179,9 +179,9 @@ def test_ml_instruction_executes():
 
 @pytest.mark.parametrize("lib", ["default", None])
 def test_rep_decides_alike_in_any_input_layout(lib, monkeypatch):
-    """A length-16 repetition code, one REP over the root: numpy sums this
-    natural-order row pairwise to -1, but to 0 one column at a time, as it
-    would a column-ordered root; every input layout decides 1."""
+    """A length-16 repetition code, one REP over the root: SC's halving order
+    sums this natural-order row to -1, where numpy's sum of a column-ordered
+    root, one column at a time, gives 0; every input layout decides 1."""
     if lib is None:
         monkeypatch.setattr(_clib, "library", lambda: None)
     spec = CodeSpec(frozen_mask=np.arange(16) < 15)  # N = 16 reverses index 15 into itself

@@ -128,6 +128,10 @@ def test_decode_rep_values():
     assert np.array_equal(decode_rep(np.array([1.0, 1.0, 1.0, 1.0])), [0, 0, 0, 0])
     assert np.array_equal(decode_rep(np.array([1.0, 2.0, -4.0, 0.5])), [1, 1, 1, 1])
     assert np.array_equal(decode_rep(np.array([2.0, -2.0])), [0, 0])
+    # SC's order adds halves, so a length must be a power of two
+    for n, text in ((1, "at least 2"), (6, "cannot halve length 3")):
+        with pytest.raises(ValueError, match=text):
+            decode_rep(np.ones(n))
 
 
 def test_decode_rep_matches_two_word_ml():
@@ -147,12 +151,12 @@ def test_decode_rep_wide_accumulation():
 
 
 def test_decode_rep_decides_alike_in_any_layout():
-    """numpy sums a C-ordered row pairwise, to -1 here, but a column-ordered
-    batch one column at a time, to 0; the decision is the pairwise one in
-    every layout."""
+    """SC's halving order sums this row to -1, as its first halving cancels
+    1e300 with -1e300 before the -1 is added, but numpy sums a column-ordered
+    batch one column at a time, to 0; the decision is SC's in every layout."""
     row = np.array([1e300, -1.0] + [0.0] * 6 + [-1e300] + [0.0] * 7)
     batch = np.tile(row, (5, 1))
-    assert np.asfortranarray(batch).sum(axis=1)[0] == 0.0  # the order the fix avoids
+    assert np.asfortranarray(batch).sum(axis=1)[0] == 0.0  # an order REP does not use
     gathered = batch[:, np.arange(16)]  # a fancy index returns column order
     for alpha in (row, batch, np.asfortranarray(batch), gathered):
         assert (decode_rep(alpha) == 1).all(), alpha.strides
