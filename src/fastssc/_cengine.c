@@ -1,5 +1,5 @@
 /* Compiled batch steps for fastssc: the fixed-point decoder interpreter, the
- * float decoder's F, G, REP and bit-reversal gathers, the systematic encoder
+ * float decoder's F, G, REP and decision gather, the systematic encoder
  * and the channel quantizer, and, where numpy.random's static library is
  * linked in, the frame bits and the AWGN channel LLRs drawn as numpy's PCG64
  * Generator draws them.
@@ -32,10 +32,11 @@
  * within [-lim, lim]; a decode returns 1, and stops, at the first group with
  * one outside.
  *
- * f_rows, g_rows, rep_rows, gather_double and gather_uint8_t are steps of the
- * float plans that engine._link builds over numpy buffers, one frame per row;
- * numpy runs the rest of those plans.  gather_double checks the float limit
- * of the input, as the fixed-point load checks the channel range.
+ * f_rows, g_rows, f_root, g_root, rep_rows and gather_uint8_t are steps of
+ * the float plans that engine._link builds over numpy buffers, one frame per
+ * row; numpy runs the rest of those plans.  f_root and g_root read the input
+ * rows in place, through the bit reversal, and check the float limit, as the
+ * fixed-point load checks the channel range.
  *
  * encode runs the systematic encoder on rows packed into 64-bit words, one
  * bit per position: it deposits the information bits at the unfrozen
@@ -201,71 +202,62 @@ static void combine(uint8_t *restrict left, const uint8_t *restrict right, int64
         left[i] ^= right[i];
 }
 
-/* Rows of n = 2^k values through rev, the bit-reversal permutation: out row r
- * holds in row r's value rev[i] at i.  rev is an involution, so one gather
- * brings float channel rows into a plan's natural-order root, and decisions
- * back out in transmission order (the float plans' and the one-lane
- * interpreter's).  From n = 64 on it moves 8 x 8 tiles: with i = h*n/8 + m +
- * l, where h, l < 8 and m is a multiple of 8 below n/8, rev[i] = rev[l] +
- * rev[m] + rev[h*n/8], so the 8-value runs at out + h*n/8 + m (h < 8) come
- * from the runs at in + rev[l] + rev[m] (l < 8), and the tile reads each of
- * its 8 runs whole.  gather_double returns 1 where a value it moves is outside
- * [-lim, lim], NaN included */
+/* STEP(i, rev[i]) for each value i < n of a row, for rev a bit-reversal
+ * permutation.  From n = 64 on it runs in 8 x 8 tiles: with i = h*n/8 + m + l,
+ * where h, l < 8 and m is a multiple of 8 below n/8, rev[i] = rev[l] + rev[m] +
+ * rev[h*n/8], as the three take disjoint bits, so the tile's 8 runs of i at
+ * h*n/8 + m (h < 8) read the runs at rev[m] + rev[l] (l < 8), each whole;
+ * FETCH(k), for k < n/8, prefetches the next row's k-th run once per row. */
 #if defined(__GNUC__) || defined(__clang__)
 #define PREFETCH(p) __builtin_prefetch(p)
 #else
 #define PREFETCH(p) (void)(p)
 #endif
-#define GATHER_ROWS(T, CHECK)                                                             \
-    for (int64_t s = n / 8, r = 0; r < rows; r++, in += n, out += n) {                    \
-        if (n < 64) {                                                                     \
-            for (int64_t i = 0; i < n; i++) {                                             \
-                T v = in[rev[i]];                                                         \
-                CHECK(v);                                                                 \
-                out[i] = v;                                                               \
+#define REV_TILES(n, FETCH, STEP)                                                         \
+    if ((n) < 64) {                                                                       \
+        for (int64_t i = 0; i < (n); i++)                                                 \
+            STEP(i, rev[i]);                                                              \
+    } else {                                                                              \
+        for (int64_t s = (n) / 8, m = 0; m < s; m += 8)                                   \
+            for (int64_t h = 0; h < 8; h++) {                                             \
+                int64_t run = rev[m] + rev[h * s];                                        \
+                FETCH(m + h);                                                             \
+                for (int l = 0; l < 8; l++)                                               \
+                    STEP(h * s + m + l, run + rev[l]);                                    \
             }                                                                             \
-            continue;                                                                     \
-        }                                                                                 \
-        for (int64_t m = 0; m < s; m += 8) {                                              \
-            for (int h = 0; h < 8; h++) {                                                 \
-                const T *run = in + rev[m] + rev[h * s];                                  \
-                if (r + 1 < rows) /* the next row, a run for each run read here */       \
-                    PREFETCH(in + n + 8 * (m + h));                                       \
-                for (int l = 0; l < 8; l++) {                                             \
-                    T v = run[rev[l]];                                                    \
-                    CHECK(v);                                                             \
-                    out[h * s + m + l] = v;                                               \
-                }                                                                         \
-            }                                                                             \
-        }                                                                                 \
     }
 
-int64_t gather_double(const double *in, const int64_t *rev, double *out, int64_t rows,
-                      int64_t n, double lim)
-{
-    int64_t bad = 0;
-#define OUTSIDE(v) bad |= !(fabs(v) <= lim)
-    GATHER_ROWS(double, OUTSIDE)
-#undef OUTSIDE
-    return bad;
-}
-
+/* Rows of n values through rev, the bit-reversal permutation: out row r holds
+ * in row r's value rev[i] at i.  rev is an involution, so the one gather brings
+ * decisions back out in transmission order (the float plans' and the one-lane
+ * interpreter's). */
 void gather_uint8_t(const uint8_t *in, const int64_t *rev, uint8_t *out, int64_t rows, int64_t n)
 {
-    GATHER_ROWS(uint8_t, (void))
+    for (int64_t r = 0; r < rows; r++, in += n, out += n) {
+#define FETCH(k) if (r + 1 < rows) PREFETCH(in + n + 8 * (k))
+#define MOVE(i, j) out[i] = in[j]
+        REV_TILES(n, FETCH, MOVE)
+#undef FETCH
+#undef MOVE
+    }
 }
 
-/* F of type T over m values: max(min(a, b), -max(a, b)).  F and clip negate
-   into T before they compare: compared in int, after C's promotion, each lane
-   would widen; it is exact, as every value is in [-sat, sat].  The float F
-   needs no NaN rule: within the gather's limit no step makes a NaN */
+/* F of type T, max(min(x, y), -max(x, y)), of two values and over m values.
+   F and clip negate into T before they compare: compared in int, after C's
+   promotion, each lane would widen; it is exact, as every value is in [-sat,
+   sat].  The float F needs no NaN rule: within the float limit no step makes
+   a NaN */
 #define F_OF(T)                                                                           \
+    static inline T f1_##T(T x, T y)                                                      \
+    {                                                                                     \
+        T lo = x < y ? x : y, hi = x < y ? y : x, nh = (T)-hi;                            \
+        return lo > nh ? lo : nh;                                                         \
+    }                                                                                     \
+                                                                                          \
     static void f_##T(const T *restrict a, const T *restrict b, T *restrict out, int64_t m) \
     {                                                                                     \
-        for (int64_t i = 0; i < m; i++) {                                                 \
-            T x = a[i], y = b[i], lo = x < y ? x : y, hi = x < y ? y : x, nh = (T)-hi;    \
-            out[i] = lo > nh ? lo : nh;                                                   \
-        }                                                                                 \
+        for (int64_t i = 0; i < m; i++)                                                   \
+            out[i] = f1_##T(a[i], b[i]);                                                  \
     }
 
 /* The other element-wise steps of working type T, over m values. */
@@ -514,7 +506,7 @@ DECODER(int32_t, wide_int32_t)
  * 2*size*r, and its output row starts at out + size*r; G reads row r's left
  * decisions at left + n*r, in the (B, N) decision array, and G-0R passes left
  * NULL.  The values are the kernels' f_op and g_op: G is b - a where the left
- * decision is 1, else b + a, with no clip; within gather_double's limit no G
+ * decision is 1, else b + a, with no clip; within the float limit no G
  * overflows.  A zero's sign may differ from numpy's; no decision reads it. */
 F_OF(double)
 
@@ -539,6 +531,61 @@ void g_rows(const double *in, const uint8_t *left, double *out, int64_t rows, in
         for (int64_t i = 0; i < size; i++)
             o[i] = b[i] + (l[i] ? -a[i] : a[i]);
     }
+}
+
+/* The same F and G at the root, whose rows are the input's, read where they
+ * lie, in transmission order: with rev the bit-reversal permutation of the
+ * N = 2*size values of a row, the natural-order values i and i + size of row
+ * r are in[rev[i]] and in[rev[i] + 1], at in + N*r, so REV_TILES reads each
+ * run of 8 pairs whole.  G's left decisions are at left + N*r.  Each value
+ * read is checked against the float limit: they return 1 where one is
+ * outside [-lim, lim], NaN included.  Separate entries, as each argument
+ * adds to a ctypes call, and the stage steps run ~200 times a B = 1 call. */
+#define ROOT_FETCH(k)                                                                     \
+    if (r + 1 < rows) {                                                                   \
+        PREFETCH(in + 2 * size + 16 * (k));                                               \
+        PREFETCH(in + 2 * size + 16 * (k) + 8);                                           \
+    }
+#define ROOT_ROWS(STEP)                                                                   \
+    int64_t bad = 0;                                                                      \
+    for (int64_t r = 0; r < rows; r++, in += 2 * size, out += size) {                     \
+        REV_TILES(size, ROOT_FETCH, STEP)                                                 \
+    }                                                                                     \
+    return bad;
+#define PAIR(j)                                                                           \
+    double a = in[j], b = in[(j) + 1];                                                    \
+    bad |= !(fabs(a) <= lim) | !(fabs(b) <= lim)
+
+int64_t f_root(const double *in, const int64_t *rev, double *out, int64_t rows, int64_t size,
+               double lim)
+{
+#define STEP(i, j) { PAIR(j); out[i] = f1_double(a, b); }
+    ROOT_ROWS(STEP)
+#undef STEP
+}
+
+/* a, negated where d is 1, with no branch (a branch on random decisions
+   mispredicts): the sign bit flipped, which is -a */
+static double flip(double a, uint8_t d)
+{
+    uint64_t u;
+    memcpy(&u, &a, sizeof u);
+    u ^= (uint64_t)d << 63;
+    memcpy(&a, &u, sizeof u);
+    return a;
+}
+
+int64_t g_root(const double *in, const int64_t *rev, const uint8_t *left, double *out,
+               int64_t rows, int64_t size, double lim)
+{
+    if (!left) {
+#define STEP(i, j) { PAIR(j); out[i] = b + a; }
+        ROOT_ROWS(STEP)
+#undef STEP
+    }
+#define STEP(i, j) { PAIR(j); out[i] = b + flip(a, left[2 * size * r + (i)]); }
+    ROOT_ROWS(STEP)
+#undef STEP
 }
 
 /* REP in SC's order: each row of `size` values at v + size*r adds its halves

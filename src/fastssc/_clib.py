@@ -29,7 +29,7 @@ Entries allocate their own scratch memory; where that fails, a decode or
 `encode` returns -1 and its caller raises MemoryError.  With no compiler,
 or a failed build, `library()` is None, the process warns once, and every
 caller (the fixed-point decoder, the float decoder's F, G, REP and
-bit-reversal gathers, the systematic encoder, the AWGN channel and the
+decision gather, the systematic encoder, the AWGN channel and the
 quantizer) runs its numpy steps, with the same results.
 Callers look `library` up on this module at each call, so patching it is
 the one switch: tests make it return None for the numpy steps, or one ISA
@@ -64,8 +64,9 @@ _SIGNATURES = {
     "decode_int32_t": (_DECODE, _I),
     "f_rows": ([_P, _P, _I, _I], None),
     "g_rows": ([_P, _P, _P, _I, _I, _I], None),
+    "f_root": ([_P, _P, _P, _I, _I, ctypes.c_double], _I),
+    "g_root": ([_P, _P, _P, _P, _I, _I, ctypes.c_double], _I),
     "rep_rows": ([_P, _P, _I, _I, _I], None),
-    "gather_double": ([_P, _P, _P, _I, _I, ctypes.c_double], _I),
     "gather_uint8_t": ([_P, _P, _P, _I, _I], None),
     "cpu_supports_x86_64_v3": ([], _I),
     "encode": ([_P, _P, _I, _I, _P], _I),
@@ -107,7 +108,7 @@ def library(cc="cc", cache_dir=None):
         # not a RuntimeWarning: where those are errors, the fallback must still run
         warnings.warn(f"fastssc: the compiled library is unavailable ({exc}); fixed point "
                       "runs on the slower numpy steps, and so do float F, G, REP and the "
-                      "bit-reversal gathers, the systematic encoder, the AWGN channel and the "
+                      "decision gather, the systematic encoder, the AWGN channel and the "
                       "quantizer", UserWarning, stacklevel=4)
         return None
     if lib.cpu_supports_x86_64_v3():

@@ -372,7 +372,7 @@ class Program:
         if self.p < 1 or self.p & (self.p - 1):
             raise ProgramFormatError(f"P must be a power of two, got {self.p}")
         self.instructions = tuple(self.instructions)
-        walk_stages(
+        self._nodes = walk_stages(
             [(i.op, i.right) for i in self.instructions], self.n_bits, self.k,
             declared=[i.stage for i in self.instructions],
         )
@@ -383,9 +383,10 @@ class Program:
 
     @cached_property
     def table(self):
-        """Read-only int64 (opcode, stage, start) rows, walk_stages' nodes; built on first use."""
-        nodes = walk_stages([(i.op, i.right) for i in self.instructions], self.n_bits, self.k)
-        table = np.array([(i.op, *node) for i, node in zip(self.instructions, nodes)], np.int64)
+        """Read-only int64 (opcode, stage, start) rows, the nodes of the walk
+        that checked the program on construction; built on first use."""
+        table = np.array([(i.op, *node) for i, node in zip(self.instructions, self._nodes)],
+                         np.int64)
         table = table.reshape(-1, 3)  # (0, 3) for the empty program
         table.setflags(write=False)
         return table

@@ -44,17 +44,18 @@ Float calls on the library run a linked plan whose heaviest steps are its
 double-precision entries over the plan's buffers: `f_rows` and `g_rows` for
 every F, G and G-0R and for the G inside P-R1, P-RSPC, P-01, P-0SPC and
 REP-SPC (and REP-SPC's F), `rep_rows` for every REP and REP-SPC's REP half,
-`gather_double` to bring the input into the plan and `gather_uint8_t` to
-bring the decisions out.  The input gather checks each value against the
-float limit of `check_channel_llrs`, in place of its min and max pass.
-Within it no float step overflows, so F has no NaN rule.  F and G are the
-kernels' formulas, with no clip, so they decide bit for bit as the
-reference does; only the sign of an intermediate zero may differ, and no
-decision reads it.  REP sums as the kernels and SC do, adding halves, b +
-a, in place until one value is left.  SPC, ML4, COMBINE and the hard
-decisions are in-place numpy steps that equal the kernels.  ML4 writes out
-its four scores as the C interpreter does, so a frame decides the same in
-any batch.
+and `gather_uint8_t` to bring the decisions out.  The root is the call's
+input: at the root, `f_root` and `g_root` stand for `f_rows` and `g_rows`.
+They read the channel rows in place, in transmission order, through the bit
+reversal, and check each value against the float limit of
+`check_channel_llrs`, in place of its min and max pass.  Within it
+no float step overflows, so F has no NaN rule.  F and G are the kernels'
+formulas, with no clip, so they decide bit for bit as the reference does;
+only the sign of an intermediate zero may differ, and no decision reads it.
+REP sums as the kernels and SC do, adding halves, b + a, in place until one
+value is left.  SPC, ML4, COMBINE and the hard decisions are in-place numpy
+steps that equal the kernels.  ML4 writes out its four scores as the C
+interpreter does, so a frame decides the same in any batch.
 
 The first float call for a given batch size B and library links the
 program: one walk over the table binds each instruction to its operands,
@@ -62,13 +63,20 @@ views into planned buffers or, for a C step, their addresses, and yields a
 list of steps.  The plan is cached on the Program, keyed by the library
 too, so a plan linked on one build never serves a call on another.  A C
 step holds addresses, not arrays, so the plan holds every buffer itself.
-Later calls of the same shape only gather the input straight into the
-plan, run the steps and gather the decisions into the returned array.
-That array is a call's only (B, N) allocation, unless the input needs a
-cast to float64 or a copy to be contiguous for the gather.  A plan holds
+Every instruction that reads the root is bound to the plan's _Input, which
+a call points at its rows: the root's F, G or G-0R, the G inside a merged
+step at the root, a REP at the root (N <= 16), which runs as its first
+halving, a G-0R, then the REP of that half, and the R1 (k = N) and ML (N =
+4) leaves at the root, which read the rows in numpy, gathered into natural
+order.  The first instruction always reads the root, and its check decides
+whether the call raises `check_channel_llrs`' ValueError; the empty program
+(k = 0) runs that check alone.  Later calls of the same shape only run the
+steps and gather the decisions into the returned array.  That array is a
+call's only (B, N) allocation, unless the input needs a cast to float64 or
+a copy to be contiguous.  A plan holds
 
-- one alpha buffer of shape (B, 2^s) per stage s = 0..n, alpha[n] being
-  the channel vector in natural (tree) order;
+- one alpha buffer of shape (B, 2^s) per stage below the root, s =
+  0..n-1;
 - one natural-order (B, N) beta array, one byte per decision, so COMBINE is
   an in-place XOR of a node's halves, COMBINE-0R a half copy, and merged
   and leaf steps write their slice directly;
@@ -81,7 +89,7 @@ there, and SPC then takes its magnitudes in place, after the hard decision.
 REP-SPC decides its repetition bit d first, from its F in that same
 buffer, and then decodes the one parity branch d selects, as a P-RSPC.
 
-That is about 2N*B*8 + N*B bytes.  The plans of the two most recent
+That is about N*B*8 + N*B bytes.  The plans of the two most recent
 call shapes are kept, and a running call takes its plan out of the cache,
 so concurrent calls never share buffers.
 """
@@ -203,22 +211,36 @@ def _reference(program, x, sat):
     return np.take(beta, rev, axis=1)
 
 
-def _run(lib, steps, alpha, beta, x):
-    """One call of a linked float plan.  The plan's arguments hold every
-    buffer whose address a C step holds: the stage buffers alpha and the
-    decisions beta."""
-    root, rev = alpha[-1], bit_reverse_permutation(len(alpha) - 1)
-    # channel vectors arrive in transmission (bit-reversed) order; the
-    # instruction schedule walks the natural-order tree
+class _Input:
+    """The rows of a linked plan's running call, the root stage, where its root
+    readers read them: numpy steps take `rows`, and ctypes passes a C step
+    bound to the _Input the address `_as_parameter_`."""
+
+    __slots__ = ("rows", "_as_parameter_")
+
+
+def _run(lib, first, steps, alpha, beta, inp, rev, x):
+    """One call of a linked float plan.  first, the first instruction, reads
+    the root first and returns 1 where a value is outside the float limit;
+    the rest are steps.  The plan's arguments hold every buffer whose
+    address a C step holds: the stage buffers alpha and the decisions beta."""
+    # channel vectors arrive in transmission (bit-reversed) order; the root
+    # readers read them there, and the instruction schedule walks the
+    # natural-order tree
     x = np.ascontiguousarray(x, np.float64)
-    if lib.gather_double(x.ctypes.data, rev.ctypes.data, root.ctypes.data, *root.shape,
-                         float_limit(x.shape[1])):
-        check_channel_llrs(x, None)  # raises its ValueError
+    inp.rows, inp._as_parameter_ = x, x.ctypes.data
+    pc = 0
     try:
-        for pc, step in enumerate(steps):
-            step()
+        bad = first()
+        if not bad:
+            for pc, step in enumerate(steps, 1):
+                step()
     except Exception as exc:
         raise EngineError(str(exc), pc=pc) from exc
+    finally:
+        inp.rows = None  # the cached plan keeps no input alive
+    if bad:
+        check_channel_llrs(x, None)  # raises its ValueError
     out = np.empty(beta.shape, np.uint8)
     lib.gather_uint8_t(beta.ctypes.data, rev.ctypes.data, out.ctypes.data, *beta.shape)
     return out
@@ -228,22 +250,35 @@ def _link(program, batch, lib):
     """Bind every instruction of a float plan to freshly planned buffers:
     every F and G (G-0R, the merged steps' G and REP-SPC's F included) and
     every REP (REP-SPC's included) is the library's f_rows, g_rows or
-    rep_rows over the buffers' addresses; the rest are numpy steps."""
+    rep_rows over the buffers' addresses; the rest are numpy steps.  The
+    root is the call's input, which every instruction that reads it reads
+    through an _Input: F and G there are f_root and g_root."""
     n, N = program.n_bits, program.N
-    alpha = [np.empty((batch, 1 << s)) for s in range(n + 1)]
+    alpha = [np.empty((batch, 1 << s)) for s in range(n)]  # the stages below the root
     beta = np.zeros((batch, N), np.bool_)
     # row scratch of the leaf steps
     rows = (np.empty(batch, np.uint8), np.empty(batch, np.intp), np.arange(batch))
     scores = np.empty((batch, 4))
+    # a Python float: ctypes converts an np.float64 argument ~10x slower
+    inp, rev, lim = _Input(), bit_reverse_permutation(n), float(float_limit(N))
 
-    def f(up, out):
-        """F of the halves of up's rows into out."""
-        return partial(lib.f_rows, up.ctypes.data, out.ctypes.data, batch, out.shape[1])
+    def f(s, out):
+        """F of the halves of stage s's rows into out; at the root, of the
+        input's, through the bit reversal."""
+        if s == n:
+            return partial(lib.f_root, inp, rev.ctypes.data, out.ctypes.data, batch,
+                           out.shape[1], lim)
+        return partial(lib.f_rows, alpha[s].ctypes.data, out.ctypes.data, batch, out.shape[1])
 
-    def g(up, left, out):
-        """G of the halves of up's rows into out, left the decided left sibling (None: G-0R)."""
-        return partial(lib.g_rows, up.ctypes.data, None if left is None else left.ctypes.data,
-                       out.ctypes.data, batch, out.shape[1], N)
+    def g(s, left, out):
+        """G of the halves of stage s's rows into out, left the decided left
+        sibling (None: G-0R); at the root, of the input's."""
+        left = None if left is None else left.ctypes.data
+        if s == n:
+            return partial(lib.g_root, inp, rev.ctypes.data, left, out.ctypes.data, batch,
+                           out.shape[1], lim)
+        return partial(lib.g_rows, alpha[s].ctypes.data, left, out.ctypes.data, batch,
+                       out.shape[1], N)
 
     def rep(values, dst):
         """REP of values' rows, halved in place, into the decisions dst."""
@@ -256,10 +291,10 @@ def _link(program, batch, lib):
         if row.side is not None:
             # descent: stage s child values from the open stage s+1 node
             if op is Opcode.F:
-                steps.append(f(alpha[s + 1], alpha[s]))
+                steps.append(f(s + 1, alpha[s]))
             else:
                 left = None if row.zero_left else beta[:, lo - size : lo]  # the left sibling
-                steps.append(g(alpha[s + 1], left, alpha[s]))
+                steps.append(g(s + 1, left, alpha[s]))
             continue
         mid, hi = lo + size // 2, lo + size
         node, left, right = beta[:, lo:hi], beta[:, lo:mid], beta[:, mid:hi]
@@ -268,24 +303,32 @@ def _link(program, batch, lib):
                  else partial(np.bitwise_xor, left, right, out=left))
         if op in (Opcode.COMBINE, Opcode.COMBINE_0R):
             steps.append(close)
-        elif op is Opcode.R1:
-            steps.append(partial(np.less, alpha[s], 0, out=node))
-        elif op is Opcode.REP:
+        elif op in (Opcode.R1, Opcode.ML):
+            leaf = (np.less, 0, node) if op is Opcode.R1 else (_ml4, node, scores, rows[1])
+            steps.append(partial(leaf[0], alpha[s], *leaf[1:]) if s < n
+                         else partial(_root_leaf, inp, rev, lim, *leaf))
+        elif op is Opcode.REP and s < n:
             steps.append(rep(alpha[s], node))
-        elif op is Opcode.ML:
-            steps.append(partial(_ml4, alpha[s], node, scores, rows[1]))
         else:
-            # P-* and REP-SPC: G into the free stage s-1 buffer, decide the
-            # right child, close the node; REP-SPC first decides its left
-            # half, a REP of its F in that same buffer
+            # P-*, REP-SPC and the root's REP: G into the free stage s-1
+            # buffer, decide the right child, close the node; REP-SPC first
+            # decides its left half, a REP of its F in that same buffer.  A
+            # REP's first halving is a G-0R, and its left half copies the right
             values = alpha[s - 1]
-            decide = (partial(_spc, values, right, *rows) if row.parity
-                      else partial(np.less, values, 0, out=right))
-            merged = [g(alpha[s], None if row.zero_left else left, values), decide, close]
+            if op is Opcode.REP:
+                decide, close = rep(values, right), partial(np.copyto, left, right)
+            elif row.parity:
+                decide = partial(_spc, values, right, *rows)
+            else:
+                decide = partial(np.less, values, 0, out=right)
+            merged = [g(s, None if row.zero_left or op is Opcode.REP else left, values),
+                      decide, close]
             if op is Opcode.REP_SPC:
-                merged[:0] = [f(alpha[s], values), rep(values, left)]
+                merged[:0] = [f(s, values), rep(values, left)]
             steps.append(partial(_seq, *merged))
-    return partial(_run, lib, steps, alpha, beta)
+    # the empty program (k = 0) reads the root only to check it
+    first = steps.pop(0) if steps else partial(_root_leaf, inp, rev, lim)
+    return partial(_run, lib, first, steps, alpha, beta, inp, rev)
 
 
 def _bind(lib, program, quant):
@@ -326,9 +369,24 @@ def _spc(values, dst, parity, least, frames):
     dst[frames, least] ^= parity.view(np.bool_)
 
 
-def _seq(*steps):
+def _seq(first, *steps):
+    """Run the steps of a merged instruction; the first one's result, a root
+    reader's check, is the instruction's."""
+    status = first()
     for step in steps:
         step()
+    return status
+
+
+def _root_leaf(inp, rev, lim, *leaf):
+    """An R1 (k = N) or ML (N = 4) leaf at the root, the whole program:
+    leaf[0](root, *leaf[1:]) over the input rows gathered into natural order
+    (no leaf: the empty program's check alone).  Returns 1 where a value is
+    outside the float limit."""
+    root = np.take(inp.rows, rev, axis=1)
+    if leaf:
+        leaf[0](root, *leaf[1:])
+    return not (np.abs(root, out=root) <= lim).all()
 
 
 def _ml4(values, dst, scores, pick):

@@ -295,10 +295,14 @@ def construct_frozen_set(n_bits, k, design_sigma2):
         raise ValueError(f"k must be in (0, {N}], got {k}")
     if not 0 < design_sigma2 < np.inf:
         raise ValueError(f"design_sigma2 must be finite and positive, got {design_sigma2}")
-    # rank stored positions: a stable sort puts the lower one first on ties
+    # rank stored positions: the N-k least means, and on a tie at the cut the
+    # lower positions, which is a stable sort's choice without the sort
     means = _ga_means(n_bits, design_sigma2)[bit_reverse_permutation(n_bits)]
     frozen = np.zeros(N, dtype=bool)
-    frozen[np.argsort(means, kind="stable")[: N - k]] = True
+    if k < N:
+        cut = np.partition(means, N - k - 1)[N - k - 1]
+        frozen[means < cut] = True
+        frozen[np.flatnonzero(means == cut)[: N - k - np.count_nonzero(frozen)]] = True
     return CodeSpec(frozen_mask=frozen, design_sigma2=design_sigma2)
 
 

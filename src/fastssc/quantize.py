@@ -74,8 +74,8 @@ def check_channel_llrs(llrs, quant):
     decoder's valid input: with a scheme, integers within its channel range;
     without, floats within float_limit(N), which NaN and +-inf fail, so that no
     float step overflows and the library's F needs no NaN rule.  With the
-    library, a float `execute` checks the limit in its input gather and calls
-    this only to raise."""
+    library, a float `execute` checks the limit in the first step that reads
+    the input and calls this only to raise."""
     if quant is not None:
         if llrs.dtype.kind not in "iu":
             raise ValueError("fixed-point decoding expects integer channel LLRs")

@@ -1,7 +1,7 @@
 """The compiled library, `_cengine.c`, against the numpy code it stands in for.
 
 `engine.execute` decodes fixed-point frames in the library when it loads,
-and float frames with its F, G and gathers; `encode_systematic` and
+and float frames with its F, G, REP and decision gather; `encode_systematic` and
 `quantize_channel` run there too, as do the frame bits and the channel LLRs
 (`awgn_bpsk_llr`) of a PCG64 Generator where numpy's libnpyrandom.a is
 linked in.  Their bit-exact reference is the numpy code: `engine._reference`, one
@@ -34,7 +34,7 @@ from fastssc.polar import (
 )
 from fastssc.quantize import parse_quant, quantize_channel
 from fastssc.reference import sc_decode
-from fastssc.simulate import awgn_bpsk_llr
+from fastssc.simulate import awgn_bpsk_llr, ebno_to_sigma2
 
 SCHEMES = ["6:4:0", "7:5:1", "8:8:0", "16:12:2", "31:31:0"]  # int8, int8, int16, int32, int32
 RULES = ["all", "ssc", "none", "spc,rep,rep-spc"]
@@ -133,7 +133,7 @@ def float_frames(family, n, rng):
 
 @pytest.mark.parametrize("family", ["noise", "zeros", "huge", "cancel"])
 def test_c_float_equals_numpy(family, builds):
-    """Float F, G and the gathers in the library decide as the reference
+    """Float F, G and REP in the library decide as the reference
     does, on every build, batch shape and rule set, for a single vector,
     float32, column-ordered and strided input too.  Only the sign of an
     intermediate zero may differ, and no decision reads it.  Huge frames, at the float limit,
@@ -192,37 +192,66 @@ def test_float_rep_decides_as_sc(builds):
                 assert np.array_equal(execute(prog, x), want), (n, lib)
 
 
-@pytest.mark.parametrize("n", [5, 10])  # the gather's n < 64 loop, and its tiles
+def natural_code(frozen):
+    """The code of a natural-order frozen pattern, as a string of 0s and 1s."""
+    natural = np.array([c == "1" for c in frozen])
+    return CodeSpec(frozen_mask=natural[bit_reverse_permutation(len(frozen).bit_length() - 1)])
+
+
+def root_reader_codes(n):
+    """(code, the first instruction's opcode name) for each kind of
+    instruction that reads the root first, at N = 2^n: F, G-0R and R1 (k =
+    N); at n = 5 also the roots of N <= 16: P-01, P-0SPC, the REP, ML and
+    REP-SPC leaves, and the empty program, which reads the root only to
+    check it."""
+    N = 1 << n
+    yield construct_frozen_set(n, N // 2, 0.5), "F"
+    yield construct_frozen_set(n, N // 128 or 4, ebno_to_sigma2(2.0, 1 / 128)), "G-0R"
+    yield CodeSpec(frozen_mask=np.zeros(N, bool)), "R1"
+    if n == 5:
+        yield natural_code("1100"), "P-01"
+        yield natural_code("11111000"), "P-0SPC"
+        yield natural_code("1" * 15 + "0"), "REP"
+        yield natural_code("1010"), "ML"
+        yield natural_code("11101000"), "REP-SPC"
+        yield CodeSpec(frozen_mask=np.ones(16, bool)), None
+
+
+@pytest.mark.parametrize("n", [5, 10])  # the root readers' loop below 64 pairs, and their tiles
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "above"])
 def test_gather_checks_the_float_limit(n, bad, builds):
-    """A value at the float limit decodes, on both paths and in sc_decode;
-    NaN, +-inf and the next double above the limit at the first, a middle
-    or the last position of one row fail there with one ValueError text."""
-    spec = construct_frozen_set(n, 1 << (n - 1), 0.5)
-    prog = compile_tree(build_tree(spec, 64))
-    lim = 2.0 ** (1023 - n)
-    bad = np.nextafter(lim, np.inf) if bad == "above" else bad
+    """The root's readers check the float limit: on programs whose first
+    instruction is each kind of root reader, a value at the limit decodes,
+    on both paths and in sc_decode; NaN, +-inf and the next double above the
+    limit at the first, a middle or the last position of one row fail there
+    with one ValueError text."""
     rng = np.random.default_rng(n)
-    for b in (1, 3, 128):
-        x = rng.choice([-lim, lim, -1.0, 0.5, -0.0], (b, 1 << n))
-        want = numpy_execute(prog, x, None)
-        sc_decode(x, spec)
-        for lib in builds.values():
-            with on(lib):
-                assert np.array_equal(execute(prog, x), want)
-        for pos in (0, (1 << n) // 2 + 3, (1 << n) - 1):
-            y = x.copy()
-            y[b // 2, pos] = bad
-            calls = [y, y[0]] if b == 1 else [y]
-            for v in calls:
-                with pytest.raises(ValueError) as ref:
-                    sc_decode(v, spec)
-                assert ("finite" if np.isnan(bad) or np.isinf(bad) else f"+-2^{1023 - n} ") \
-                    in str(ref.value)
-                for lib in [None, *builds.values()]:
-                    with on(lib), pytest.raises(ValueError) as got:
-                        execute(prog, v)
-                    assert str(got.value) == str(ref.value), (lib, b, pos)
+    for spec, first in root_reader_codes(n):
+        prog = compile_tree(build_tree(spec, 64))
+        assert (str(prog.instructions[0]).split()[0] if prog.instructions else None) == first
+        N, m = spec.N, spec.n_bits
+        lim = 2.0 ** (1023 - m)
+        value = np.nextafter(lim, np.inf) if bad == "above" else bad
+        for b in (1, 3, 128):
+            x = rng.choice([-lim, lim, -1.0, 0.5, -0.0], (b, N))
+            want = numpy_execute(prog, x, None)
+            sc_decode(x, spec)
+            for lib in builds.values():
+                with on(lib):
+                    assert np.array_equal(execute(prog, x), want), (first, lib)
+            for pos in (0, (N // 2 + 3) % N, N - 1):
+                y = x.copy()
+                y[b // 2, pos] = value
+                calls = [y, y[0]] if b == 1 else [y]
+                for v in calls:
+                    with pytest.raises(ValueError) as ref:
+                        sc_decode(v, spec)
+                    assert ("finite" if np.isnan(value) or np.isinf(value)
+                            else f"+-2^{1023 - m} ") in str(ref.value)
+                    for lib in [None, *builds.values()]:
+                        with on(lib), pytest.raises(ValueError) as got:
+                            execute(prog, v)
+                        assert str(got.value) == str(ref.value), (first, lib, b, pos)
 
 
 @pytest.mark.parametrize("scheme", ["6:4:0", "7:5:1", "15:12:2", "31:31:0"])  # int8, 16, 32
@@ -774,9 +803,11 @@ def test_concurrent_float_calls_on_the_c_path():
 
 def test_float_plans_hold_their_buffers(builds):
     """A C step holds buffer addresses, not arrays, so its plan holds the
-    arrays.  Decoding stays exact after other shapes evict a plan and the
-    collector runs, and a plan taken out of its program, with every other
-    reference dropped and the freed memory reused, still decodes."""
+    arrays: its stage buffers below the root, 8*B*(N - 1) bytes of floats,
+    and no (B, N) float array, as the root is the call's input.  Decoding
+    stays exact after other shapes evict a plan and the collector runs, and
+    a plan taken out of its program, with every other reference dropped and
+    the freed memory reused, still decodes."""
     prog = compile_tree(build_tree(construct_frozen_set(11, 1200, 0.5), 64))
     x = np.random.default_rng(25).normal(0.5, 2.0, (16, 2048))
     want = numpy_execute(prog, x, None)
@@ -788,6 +819,10 @@ def test_float_plans_hold_their_buffers(builds):
             prog._plans.clear()
             execute(prog, x)
             (plan,) = prog._plans.values()
+            held = chain.from_iterable(a if isinstance(a, list) else [a] for a in plan.args)
+            floats = [a for a in held if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
+            assert sum(a.nbytes for a in floats) == 8 * 16 * (2048 - 1), level
+            assert all(a.shape[1] < 2048 for a in floats), level
             prog._plans.clear()
             gc.collect()
             reused = [np.full((16, 1 << s), np.nan) for s in range(12)]

@@ -278,6 +278,25 @@ def test_large_frozen_masks_are_pinned(n_bits, k, crc):
     assert zlib.crc32(spec.frozen_mask.tobytes()) == crc
 
 
+def test_frozen_set_is_the_stable_sorts_choice(monkeypatch):
+    """The N-k least means, and on a tie at the cut the lower stored
+    positions: exactly a stable argsort's first N-k, on means with forced
+    ties (a few levels, position 0 on the lowest, so that it is frozen)."""
+    rng = np.random.default_rng(27)
+    for n in (1, 3, 6, 11):
+        N = 1 << n
+        for levels in (1, 2, 5, N):
+            means = rng.integers(0, levels, N).astype(float)
+            means[0] = 0
+            monkeypatch.setattr(polar, "_ga_means", lambda n_bits, sigma2: means)
+            stored = means[bit_reverse_permutation(n)]
+            for k in sorted({1, N // 3 + 1, N // 2, N - 1, N}):
+                want = np.zeros(N, bool)
+                want[np.argsort(stored, kind="stable")[: N - k]] = True
+                got = construct_frozen_set(n, k, 1.0).frozen_mask
+                assert np.array_equal(got, want), (n, levels, k)
+
+
 def test_systematic_placement_small_code():
     spec = construct_frozen_set(3, 5, 0.5)
     a = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
