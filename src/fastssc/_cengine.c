@@ -25,18 +25,19 @@
  * sizeof(T) lanes, whose values at one index fill a 32-byte vector.  A batch
  * decodes its whole groups of L frames on the wide instance and the rest one
  * frame at a time.  Soft values never leave [-sat, sat], and the working type
- * holds 2*sat, so b +- a is exact before G clips it.  Where the build has AVX2
- * (the x86-64-v3 one), the wide instances move frames in and out of the lanes
- * by SIMD tile transposes; the scalar tiles serve the baseline build, other
- * hosts and N below a tile.  The load checks that each int32 channel value is
- * within [-lim, lim]; a decode returns 1, and stops, at the first group with
- * one outside.
+ * holds 2*sat, so b +- a is exact before G clips it.  Both instances move
+ * frames in and out of the lanes through the same scalar tiles, except that
+ * where the build has AVX2 (the x86-64-v3 one), the wide instances transpose
+ * by SIMD where N fills a tile.  The load checks that each int32 channel
+ * value is within [-lim, lim]; a decode returns 1, and stops, at the first
+ * group with one outside.
  *
  * f_rows, g_rows, f_root, g_root, rep_rows and gather_uint8_t are steps of
  * the float plans that engine._link builds over numpy buffers, one frame per
  * row; numpy runs the rest of those plans.  f_root and g_root read the input
  * rows in place, through the bit reversal, and check the float limit, as the
- * fixed-point load checks the channel range.
+ * fixed-point load checks the channel range.  A float program of one
+ * instruction or none runs on the engine's reference loop, not here.
  *
  * encode runs the systematic encoder on rows packed into 64-bit words, one
  * bit per position: it deposits the information bits at the unfrozen
@@ -229,8 +230,7 @@ static void combine(uint8_t *restrict left, const uint8_t *restrict right, int64
 
 /* Rows of n values through rev, the bit-reversal permutation: out row r holds
  * in row r's value rev[i] at i.  rev is an involution, so the one gather brings
- * decisions back out in transmission order (the float plans' and the one-lane
- * interpreter's). */
+ * the float plans' decisions back out in transmission order. */
 void gather_uint8_t(const uint8_t *in, const int64_t *rev, uint8_t *out, int64_t rows, int64_t n)
 {
     for (int64_t r = 0; r < rows; r++, in += n, out += n) {
@@ -395,25 +395,17 @@ void gather_uint8_t(const uint8_t *in, const int64_t *rev, uint8_t *out, int64_t
     }                                                                                     \
                                                                                           \
     /* Channel vectors in, decisions out: transmission position p holds leaf rev[p]  */   \
-    /* (rev is an involution).  Wide instances transpose in tiles by SIMD where the  */   \
-    /* build has AVX2 (load_simd, store_simd), else through a tile of BLOCK          */   \
-    /* positions of all L frames, so each frame's row is walked in order and each    */   \
-    /* leaf's L values move as one piece; walking whole rows instead touches L rows  */   \
-    /* N apart, or the leaves that rev scatters a block to, in a few cache sets.     */   \
+    /* (rev is an involution).  Every instance moves a tile of BLOCK positions of    */   \
+    /* all its L frames, so each frame's row is walked in order and each leaf's L    */   \
+    /* values (one, at L = 1) move as one piece; walking whole rows instead touches  */   \
+    /* L rows N apart, or the leaves that rev scatters a block to, in a few cache    */   \
+    /* sets.  Where the build has AVX2, the wide instances transpose by SIMD instead */   \
+    /* (load_simd and store_simd, which transpose at the wide lane count alone).     */   \
     /* The load returns 1 where a channel value is outside [-lim, lim], else 0       */   \
     static int load_##X(const int32_t *x, const int64_t *rev, T *root, int64_t N, int32_t lim) \
     {                                                                                     \
         T tile[BLOCK][L];                                                                 \
-        int bad = 0;                                                                      \
-        if (L == 1) {                                                                     \
-            for (int64_t i = 0; i < N; i++) {                                             \
-                int32_t v = x[rev[i]];                                                    \
-                bad |= (v < -lim) | (v > lim);                                            \
-                root[i] = (T)v;                                                           \
-            }                                                                             \
-            return bad;                                                                   \
-        }                                                                                 \
-        bad = load_simd(x, rev, root, N, (int)sizeof(T), lim);                            \
+        int bad = L > 1 ? load_simd(x, rev, root, N, (int)sizeof(T), lim) : -1;           \
         if (bad >= 0)                                                                     \
             return bad;                                                                   \
         bad = 0;                                                                          \
@@ -434,10 +426,6 @@ void gather_uint8_t(const uint8_t *in, const int64_t *rev, uint8_t *out, int64_t
     static void store_##X(const uint8_t *beta, const int64_t *rev, uint8_t *out, int64_t N) \
     {                                                                                     \
         uint8_t tile[BLOCK][L];                                                           \
-        if (L == 1) {                                                                     \
-            gather_uint8_t(beta, rev, out, 1, N);                                         \
-            return;                                                                       \
-        }                                                                                 \
         if (L == 32 && store_simd(beta, rev, out, N))                                     \
             return;                                                                       \
         for (int64_t p0 = 0; p0 < N; p0 += BLOCK) {                                       \

@@ -12,7 +12,11 @@ compiler walk's read-only (opcode, stage, start) rows, that calls the
 of int64 (fixed point, G clipped to the internal limit) or float64 values,
 and a natural-order (B, N) beta in which the node at (start, 2^s) owns
 beta[:, start:start+2^s].  With no library (`_clib.library()` is None) both
-domains run it, and the process warns once.
+domains run it, and the process warns once.  A float program of one
+instruction or none (k = 0, R1 at k = N, or one REP, ML, REP-SPC or P-*
+leaf over the root, N <= 16) runs it on the library too, after
+`check_channel_llrs`, so that in a linked plan only `f_root` and `g_root`
+read the root.
 
 Fixed-point calls run in the compiled interpreter of `_cengine.c` when the
 library loads (`_clib.library()`: built on first use, at the baseline ISA
@@ -25,26 +29,27 @@ frames at once (32 for int8), one per lane: each stage buffer holds its 2^s
 values lane-innermost, as (2^s, L), and the decisions are (N, L), so F, G,
 COMBINE and the hard decisions are flat loops over 2^s*L values, and REP,
 SPC and ML4 reduce lane by lane with the one-frame rules.  A batch runs its
-whole groups of L frames there, transposed in and out in tiles, and the
-rest one frame at a time on the L = 1 instance, in a workspace of L*(2N
-values + N decisions) that the decoder allocates for the call and frees
-before it returns (where it cannot, `execute` raises MemoryError).  In the
-x86-64-v3 build the tiles are AVX2 transposes: the int32 channel rows pack
-to the working type, an unpack ladder transposes L x L values, and each
-leaf's L values move in one 32-byte store; the int8 decisions come back
-through the same 32 x 32 byte transpose.  The load also checks the channel
-range, so `execute` runs numpy's `check_channel_llrs` over the input only
-for a dtype that can wrap into range in the cast to int32 (int64, uint32,
-uint64), and raises its ValueError, with its text, when the load finds a
-value outside.  Its plan is that decoder, bound once to the program's table,
-the bit-reversal permutation (`bit_reverse_permutation`, built once per
-n_bits as int64) and the scheme, for every batch size.
+whole groups of L frames there and the rest one frame at a time on the L =
+1 instance, both moved in and out through the same tiles, in a workspace of
+L*(2N values + N decisions) that the decoder allocates for the call and
+frees before it returns (where it cannot, `execute` raises MemoryError).
+In the x86-64-v3 build the wide instance's tiles are AVX2 transposes: the
+int32 channel rows pack to the working type, an unpack ladder transposes L
+x L values, and each leaf's L values move in one 32-byte store; the int8
+decisions come back through the same 32 x 32 byte transpose.  The load
+also checks the channel range, so `execute` runs numpy's
+`check_channel_llrs` over the input only for a dtype that can wrap into
+range in the cast to int32 (int64, uint32, uint64), and raises its
+ValueError, with its text, when the load finds a value outside.  Its plan
+is that decoder, bound once to the program's table, the bit-reversal
+permutation (`bit_reverse_permutation`, built once per n_bits as int64) and
+the scheme, for every batch size.
 
-Float calls on the library run a linked plan whose heaviest steps are its
-double-precision entries over the plan's buffers: `f_rows` and `g_rows` for
-every F, G and G-0R and for the G inside P-R1, P-RSPC, P-01, P-0SPC and
-REP-SPC (and REP-SPC's F), `rep_rows` for every REP and REP-SPC's REP half,
-and `gather_uint8_t` to bring the decisions out.  The root is the call's
+Other float calls on the library run a linked plan whose heaviest steps
+are its double-precision entries over the plan's buffers: `f_rows` and
+`g_rows` for every F, G and G-0R and for the G inside P-R1, P-RSPC, P-01,
+P-0SPC and REP-SPC (and REP-SPC's F), `rep_rows` for every REP and
+REP-SPC's REP half, and `gather_uint8_t` to bring the decisions out.  The root is the call's
 input: at the root, `f_root` and `g_root` stand for `f_rows` and `g_rows`.
 They read the channel rows in place, in transmission order, through the bit
 reversal, and check each value against the float limit of
@@ -63,17 +68,15 @@ views into planned buffers or, for a C step, their addresses, and yields a
 list of steps.  The plan is cached on the Program, keyed by the library
 too, so a plan linked on one build never serves a call on another.  A C
 step holds addresses, not arrays, so the plan holds every buffer itself.
-Every instruction that reads the root is bound to the plan's _Input, which
-a call points at its rows: the root's F, G or G-0R, the G inside a merged
-step at the root, a REP at the root (N <= 16), which runs as its first
-halving, a G-0R, then the REP of that half, and the R1 (k = N) and ML (N =
-4) leaves at the root, which read the rows in numpy, gathered into natural
-order.  The first instruction always reads the root, and its check decides
-whether the call raises `check_channel_llrs`' ValueError; the empty program
-(k = 0) runs that check alone.  Later calls of the same shape only run the
-steps and gather the decisions into the returned array.  That array is a
-call's only (B, N) allocation, unless the input needs a cast to float64 or
-a copy to be contiguous.  A plan holds
+Only `f_root` and `g_root` read the root: the root's F, G or G-0R, and the
+G inside a P-R1 or P-RSPC at the root.  They are bound to the plan's
+ctypes.c_void_p, which a call points at its rows and clears after them.
+The first instruction, the root's F or G-0R, reads every input value, and
+its check decides whether the call raises `check_channel_llrs`' ValueError.
+Later calls of the same shape only run the steps and gather the decisions
+into the returned array.  That array is a call's only (B, N) allocation,
+unless the input needs a cast to float64 or a copy to be contiguous.  A
+plan holds
 
 - one alpha buffer of shape (B, 2^s) per stage below the root, s =
   0..n-1;
@@ -89,11 +92,15 @@ there, and SPC then takes its magnitudes in place, after the hard decision.
 REP-SPC decides its repetition bit d first, from its F in that same
 buffer, and then decodes the one parity branch d selects, as a P-RSPC.
 
-That is about N*B*8 + N*B bytes.  The plans of the two most recent
-call shapes are kept, and a running call takes its plan out of the cache,
-so concurrent calls never share buffers.
+That is about N*B*8 + N*B bytes.  The cache keeps a stack of idle plans
+for each of the two most recent call shapes.  A running call takes one off
+its shape's stack, linking a new plan only where the stack is empty, and
+puts it back when it returns, so concurrent calls never share buffers, and
+a pool of T threads decoding one shape links at most T plans.
 """
 
+import ctypes
+import threading
 from functools import partial
 
 import numpy as np
@@ -114,6 +121,9 @@ class EngineError(RuntimeError):
     def __init__(self, message, pc=None):
         super().__init__(f"instruction {pc}: {message}" if pc is not None else message)
         self.pc = pc
+
+
+_PLANS = threading.Lock()  # held while a call takes a plan from, or returns it to, a cache
 
 
 def execute(program, channel_llrs, quant=None, debug=False):
@@ -141,6 +151,8 @@ def execute(program, channel_llrs, quant=None, debug=False):
     lead = x.shape[:-1]
     x = x.reshape(-1, program.N)
     lib = _clib.library()
+    if quant is None and len(program.instructions) < 2:
+        lib = None  # one leaf over the root, or none: the reference loop (see _link)
     # the library's loads check the values they read, the fixed-point one as
     # int32 and the float one as float64; a dtype that those casts may change
     # is checked here
@@ -155,18 +167,22 @@ def execute(program, channel_llrs, quant=None, debug=False):
     else:
         # the library's fixed-point decoder serves every batch size; the key
         # names the library, so a plan linked on one build never runs a call
-        # on another
+        # on another.  A running call takes an idle plan of its shape off the
+        # shape's stack, so concurrent calls never share buffers, and links
+        # only where none is idle
         key = (x.shape[0], lib) if quant is None else (quant, lib)
         plans = program._plans
-        plan = plans.pop(key, None)
+        with _PLANS:
+            plan = plans[key].pop() if plans.get(key) else None
         if plan is None:
             plan = _link(program, *key) if quant is None else _bind(lib, program, quant)
         try:
             out = plan(x)
         finally:
-            plans[key] = plan  # the two most recent shapes stay: a run and its short last batch
-            for old in list(plans)[:-2]:
-                plans.pop(old, None)
+            with _PLANS:  # the two most recent shapes stay: a run and its short last batch
+                plans[key] = plans.pop(key, []) + [plan]
+                for old in list(plans)[:-2]:
+                    del plans[old]
     return out.reshape(lead + (program.N,)) if lead else out[0]
 
 
@@ -211,24 +227,16 @@ def _reference(program, x, sat):
     return np.take(beta, rev, axis=1)
 
 
-class _Input:
-    """The rows of a linked plan's running call, the root stage, where its root
-    readers read them: numpy steps take `rows`, and ctypes passes a C step
-    bound to the _Input the address `_as_parameter_`."""
-
-    __slots__ = ("rows", "_as_parameter_")
-
-
 def _run(lib, first, steps, alpha, beta, inp, rev, x):
-    """One call of a linked float plan.  first, the first instruction, reads
-    the root first and returns 1 where a value is outside the float limit;
-    the rest are steps.  The plan's arguments hold every buffer whose
+    """One call of a linked float plan.  first, the root's F or G-0R, reads
+    every input value first and returns 1 where one is outside the float
+    limit; the rest are steps.  The plan's arguments hold every buffer whose
     address a C step holds: the stage buffers alpha and the decisions beta."""
     # channel vectors arrive in transmission (bit-reversed) order; the root
     # readers read them there, and the instruction schedule walks the
     # natural-order tree
     x = np.ascontiguousarray(x, np.float64)
-    inp.rows, inp._as_parameter_ = x, x.ctypes.data
+    inp.value = x.ctypes.data
     pc = 0
     try:
         bad = first()
@@ -238,7 +246,7 @@ def _run(lib, first, steps, alpha, beta, inp, rev, x):
     except Exception as exc:
         raise EngineError(str(exc), pc=pc) from exc
     finally:
-        inp.rows = None  # the cached plan keeps no input alive
+        inp.value = None  # the cached plan keeps no address of a freed input
     if bad:
         check_channel_llrs(x, None)  # raises its ValueError
     out = np.empty(beta.shape, np.uint8)
@@ -247,12 +255,15 @@ def _run(lib, first, steps, alpha, beta, inp, rev, x):
 
 
 def _link(program, batch, lib):
-    """Bind every instruction of a float plan to freshly planned buffers:
-    every F and G (G-0R, the merged steps' G and REP-SPC's F included) and
-    every REP (REP-SPC's included) is the library's f_rows, g_rows or
-    rep_rows over the buffers' addresses; the rest are numpy steps.  The
-    root is the call's input, which every instruction that reads it reads
-    through an _Input: F and G there are f_root and g_root."""
+    """Bind every instruction of a float plan of two or more instructions
+    (execute runs the others on the reference loop) to freshly planned
+    buffers: every F and G (G-0R, the merged steps' G and REP-SPC's F
+    included) and every REP (REP-SPC's included) is the library's f_rows,
+    g_rows or rep_rows over the buffers' addresses; the rest are numpy steps.
+    The root is the call's input, read through the address that inp holds
+    by f_root and g_root alone: the root's F, G and G-0R, and the G of a
+    P-R1 or P-RSPC at the root.  The first instruction is the root's F or
+    G-0R."""
     n, N = program.n_bits, program.N
     alpha = [np.empty((batch, 1 << s)) for s in range(n)]  # the stages below the root
     beta = np.zeros((batch, N), np.bool_)
@@ -260,7 +271,7 @@ def _link(program, batch, lib):
     rows = (np.empty(batch, np.uint8), np.empty(batch, np.intp), np.arange(batch))
     scores = np.empty((batch, 4))
     # a Python float: ctypes converts an np.float64 argument ~10x slower
-    inp, rev, lim = _Input(), bit_reverse_permutation(n), float(float_limit(N))
+    inp, rev, lim = ctypes.c_void_p(), bit_reverse_permutation(n), float(float_limit(N))
 
     def f(s, out):
         """F of the halves of stage s's rows into out; at the root, of the
@@ -303,32 +314,26 @@ def _link(program, batch, lib):
                  else partial(np.bitwise_xor, left, right, out=left))
         if op in (Opcode.COMBINE, Opcode.COMBINE_0R):
             steps.append(close)
-        elif op in (Opcode.R1, Opcode.ML):
-            leaf = (np.less, 0, node) if op is Opcode.R1 else (_ml4, node, scores, rows[1])
-            steps.append(partial(leaf[0], alpha[s], *leaf[1:]) if s < n
-                         else partial(_root_leaf, inp, rev, lim, *leaf))
-        elif op is Opcode.REP and s < n:
+        elif op is Opcode.R1:
+            steps.append(partial(np.less, alpha[s], 0, node))
+        elif op is Opcode.ML:
+            steps.append(partial(_ml4, alpha[s], node, scores, rows[1]))
+        elif op is Opcode.REP:
             steps.append(rep(alpha[s], node))
         else:
-            # P-*, REP-SPC and the root's REP: G into the free stage s-1
-            # buffer, decide the right child, close the node; REP-SPC first
-            # decides its left half, a REP of its F in that same buffer.  A
-            # REP's first halving is a G-0R, and its left half copies the right
+            # P-* and REP-SPC: G into the free stage s-1 buffer, decide the
+            # right child, close the node; REP-SPC first decides its left
+            # half, a REP of its F in that same buffer
             values = alpha[s - 1]
-            if op is Opcode.REP:
-                decide, close = rep(values, right), partial(np.copyto, left, right)
-            elif row.parity:
+            if row.parity:
                 decide = partial(_spc, values, right, *rows)
             else:
                 decide = partial(np.less, values, 0, out=right)
-            merged = [g(s, None if row.zero_left or op is Opcode.REP else left, values),
-                      decide, close]
+            merged = [g(s, None if row.zero_left else left, values), decide, close]
             if op is Opcode.REP_SPC:
                 merged[:0] = [f(s, values), rep(values, left)]
             steps.append(partial(_seq, *merged))
-    # the empty program (k = 0) reads the root only to check it
-    first = steps.pop(0) if steps else partial(_root_leaf, inp, rev, lim)
-    return partial(_run, lib, first, steps, alpha, beta, inp, rev)
+    return partial(_run, lib, steps.pop(0), steps, alpha, beta, inp, rev)
 
 
 def _bind(lib, program, quant):
@@ -369,24 +374,10 @@ def _spc(values, dst, parity, least, frames):
     dst[frames, least] ^= parity.view(np.bool_)
 
 
-def _seq(first, *steps):
-    """Run the steps of a merged instruction; the first one's result, a root
-    reader's check, is the instruction's."""
-    status = first()
+def _seq(*steps):
+    """Run the steps of a merged instruction."""
     for step in steps:
         step()
-    return status
-
-
-def _root_leaf(inp, rev, lim, *leaf):
-    """An R1 (k = N) or ML (N = 4) leaf at the root, the whole program:
-    leaf[0](root, *leaf[1:]) over the input rows gathered into natural order
-    (no leaf: the empty program's check alone).  Returns 1 where a value is
-    outside the float limit."""
-    root = np.take(inp.rows, rev, axis=1)
-    if leaf:
-        leaf[0](root, *leaf[1:])
-    return not (np.abs(root, out=root) <= lim).all()
 
 
 def _ml4(values, dst, scores, pick):

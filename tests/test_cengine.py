@@ -202,8 +202,8 @@ def root_reader_codes(n):
     """(code, the first instruction's opcode name) for each kind of
     instruction that reads the root first, at N = 2^n: F, G-0R and R1 (k =
     N); at n = 5 also the roots of N <= 16: P-01, P-0SPC, the REP, ML and
-    REP-SPC leaves, and the empty program, which reads the root only to
-    check it."""
+    REP-SPC leaves, and the empty program.  A program of one instruction or
+    none runs the reference loop, after check_channel_llrs, on every path."""
     N = 1 << n
     yield construct_frozen_set(n, N // 2, 0.5), "F"
     yield construct_frozen_set(n, N // 128 or 4, ebno_to_sigma2(2.0, 1 / 128)), "G-0R"
@@ -224,11 +224,13 @@ def test_gather_checks_the_float_limit(n, bad, builds):
     instruction is each kind of root reader, a value at the limit decodes,
     on both paths and in sc_decode; NaN, +-inf and the next double above the
     limit at the first, a middle or the last position of one row fail there
-    with one ValueError text."""
+    with one ValueError text.  A program of one instruction or none links no
+    plan on any build."""
     rng = np.random.default_rng(n)
     for spec, first in root_reader_codes(n):
         prog = compile_tree(build_tree(spec, 64))
         assert (str(prog.instructions[0]).split()[0] if prog.instructions else None) == first
+        linked = len(prog.instructions) > 1
         N, m = spec.N, spec.n_bits
         lim = 2.0 ** (1023 - m)
         value = np.nextafter(lim, np.inf) if bad == "above" else bad
@@ -239,6 +241,7 @@ def test_gather_checks_the_float_limit(n, bad, builds):
             for lib in builds.values():
                 with on(lib):
                     assert np.array_equal(execute(prog, x), want), (first, lib)
+                assert bool(prog._plans) == linked, (first, lib)
             for pos in (0, (N // 2 + 3) % N, N - 1):
                 y = x.copy()
                 y[b // 2, pos] = value
@@ -791,14 +794,19 @@ def test_concurrent_calls_on_the_c_path():
     assert decode_concurrently(prog, inputs, serial, q) == [0, 0]
 
 
-def test_concurrent_float_calls_on_the_c_path():
-    """Each running call takes its plan out of the cache, so the two threads'
-    C steps, which run without the GIL, never share a buffer."""
+def test_concurrent_float_calls_on_the_c_path(monkeypatch):
+    """Each running call takes an idle plan off its shape's stack, so the two
+    threads' C steps, which run without the GIL, never share a buffer, and
+    puts it back, so no plan is lost: every plan linked is idle afterwards,
+    at most one a thread."""
     prog = compile_tree(build_tree(construct_frozen_set(11, 1200, 0.5), 64))
     rng = np.random.default_rng(24)
     inputs = [rng.normal(0.5, 2.0, (128, 2048)) for _ in range(2)]
     serial = [numpy_execute(prog, x, None) for x in inputs]
+    linked, link = [], engine._link
+    monkeypatch.setattr(engine, "_link", lambda *args: linked.append(args) or link(*args))
     assert decode_concurrently(prog, inputs, serial) == [0, 0]
+    assert len(linked) == sum(map(len, prog._plans.values())) <= 2
 
 
 def test_float_plans_hold_their_buffers(builds):
@@ -818,7 +826,7 @@ def test_float_plans_hold_their_buffers(builds):
                 gc.collect()
             prog._plans.clear()
             execute(prog, x)
-            (plan,) = prog._plans.values()
+            ((plan,),) = prog._plans.values()  # one shape, one idle plan
             held = chain.from_iterable(a if isinstance(a, list) else [a] for a in plan.args)
             floats = [a for a in held if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
             assert sum(a.nbytes for a in floats) == 8 * 16 * (2048 - 1), level

@@ -8,6 +8,10 @@ rows where an in-place rewrite goes wrong first: ±0.0 and integer zeros,
 repetition sums of exactly 0, SPC magnitude ties with odd parity (the
 lowest index must flip), values at the channel limit that saturate G, and
 repetition sums far beyond the working integer type.
+
+A float program of one instruction, a leaf over the root (rep-16, rep-spc,
+ml, p-0spc), runs the reference loop on every path; the cases under rate-0
+left siblings reach the float plan's REP, REP-SPC, ML and P-0SPC steps.
 """
 
 import numpy as np
@@ -74,6 +78,9 @@ CASES = {
                      ["G-0R R stage=2", "ML R stage=2", "COMBINE-0R L stage=3"],
                      _under_rate0(lambda v, s: decode_ml4(v), 1), 4, 1),
     "p-0spc": (16, (*range(8), 8), "all", ["P-0SPC L stage=4"], _p0spc, 8, 1),
+    "p-0spc-under-g0r": (32, (*range(16), *range(16, 24), 24), "all",
+                         ["G-0R R stage=4", "P-0SPC R stage=4", "COMBINE-0R L stage=5"],
+                         _under_rate0(_p0spc, 1), 8, 2),
     "p-rspc": (8, (0, 1, 2, 4), "rep,spc",
                ["F L stage=2", "REP L stage=2", "P-RSPC L stage=3"], _prspc, 4, 1),
     "p-rspc-16": (32, (*range(15), 16), "rep,spc",

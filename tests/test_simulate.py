@@ -321,6 +321,28 @@ def test_each_batch_shape_links_once(monkeypatch):
     assert linked == ([128, 72] if _clib.library() is not None else [])
 
 
+def test_pooled_float_batches_link_a_plan_per_thread(monkeypatch):
+    # a call takes an idle plan of its shape off the shape's stack and puts
+    # it back when it returns, so two threads that decode one shape link two
+    # plans, not one more for each call that finds the other thread's busy
+    linked = []
+    link = engine._link
+
+    def spy(program, batch, *args):
+        linked.append(batch)
+        return link(program, batch, *args)
+
+    monkeypatch.setattr(engine, "_link", spy)
+    cfg = SimConfig(spec=construct_frozen_set(10, 512, 0.5), ebno_db=(1.0, 2.0),
+                    max_frames=40 * 64 + 24, min_frame_errors=10**9, batch_size=64, workers=2)
+    assert [r.frames for r in run_simulation(cfg)] == [cfg.max_frames] * 2
+    if _clib.library() is None:
+        assert linked == []
+    else:
+        assert set(linked) == {64, 24}
+        assert max(map(linked.count, set(linked))) <= 2, linked
+
+
 def test_stops_on_frame_errors():
     cfg = small_config(ebno_db=(0.0,), min_frame_errors=5, batch_size=32)
     (r,) = run_simulation(cfg)
