@@ -233,7 +233,7 @@ class DecoderTree:
 
 
 def _classify(fs, size, is_right, rules):
-    nf = int(fs.sum())
+    nf = fs.count(1)
     if nf == size:
         return NodeKind.RATE0
     if nf == 0:
@@ -262,7 +262,7 @@ def build_tree(spec, p=256, rules=None):
         raise ValueError(f"p must be a power of two, got {p}")
     if rules is None:
         rules = NodeRuleSet()
-    frozen = spec.frozen_natural
+    frozen = spec.frozen_natural.tobytes()  # bytes slices count and index fastest
 
     def build(start, size, stage, is_right):
         kind = _classify(frozen[start : start + size], size, is_right, rules)
@@ -347,14 +347,15 @@ def compile_tree(tree):
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
     """A compiled decoder: instruction list plus the run parameters.
 
     Structural validity (the depth-first stage walk, and a header k equal to
     the information bits the instructions decide) is checked on
     construction, so a Program that exists is executable.  Its code, `spec`,
-    is derived from the instructions, not given.
+    is derived from the instructions, not given.  The fields are frozen, so
+    `table`, `spec` and the execution plans stay those of the checked walk.
     """
 
     n_bits: int
@@ -371,11 +372,11 @@ class Program:
             raise ProgramFormatError(f"k={self.k} out of range for N={1 << self.n_bits}")
         if self.p < 1 or self.p & (self.p - 1):
             raise ProgramFormatError(f"P must be a power of two, got {self.p}")
-        self.instructions = tuple(self.instructions)
-        self._nodes = walk_stages(
+        object.__setattr__(self, "instructions", tuple(self.instructions))
+        object.__setattr__(self, "_nodes", walk_stages(
             [(i.op, i.right) for i in self.instructions], self.n_bits, self.k,
             declared=[i.stage for i in self.instructions],
-        )
+        ))
 
     @property
     def N(self):
@@ -624,13 +625,11 @@ def serialize_program_binary(program):
     u32 k, P, and instruction count, then the packed field stream.  Stages
     are not stored; they are reconstructed by the structural walk.
     """
-    acc = 0
-    for i, ins in enumerate(program.instructions):
-        acc |= (int(ins.op) | (int(ins.right) << 4)) << (5 * i)
-    nbytes = (5 * len(program.instructions) + 7) // 8
+    fields = np.array([ins.op | ins.right << 4 for ins in program.instructions], np.uint8)
+    bits = np.unpackbits(fields.reshape(-1, 1), axis=1, count=5, bitorder="little")
     head = _MAGIC + bytes([_BIN_VERSION, program.n_bits])
     head += struct.pack("<III", program.k, program.p, len(program.instructions))
-    return head + acc.to_bytes(nbytes, "little")
+    return head + np.packbits(bits, bitorder="little").tobytes()
 
 
 def parse_program_binary(data):
@@ -647,14 +646,13 @@ def parse_program_binary(data):
         raise ProgramFormatError(
             f"truncated program body: expected {nbytes} bytes, got {len(body)}"
         )
-    acc = int.from_bytes(body, "little")
-    ops_sides, n_ops = [], len(Opcode)
-    for i in range(count):
-        fieldv = (acc >> (5 * i)) & 31
-        op, right = fieldv & 15, bool(fieldv >> 4)
-        if op >= n_ops:
-            raise ProgramFormatError(f"unknown opcode value {op}", pc=i)
-        ops_sides.append((Opcode(op), right))
+    bits = np.unpackbits(np.frombuffer(body, np.uint8), count=5 * count, bitorder="little")
+    fields = np.packbits(bits.reshape(-1, 5), axis=1, bitorder="little").ravel()
+    bad = np.flatnonzero(fields & 15 >= len(Opcode))
+    if bad.size:
+        raise ProgramFormatError(f"unknown opcode value {fields[bad[0]] & 15}", pc=int(bad[0]))
+    opcodes = list(Opcode)
+    ops_sides = [(opcodes[f & 15], f > 15) for f in fields.tolist()]
     nodes = walk_stages(ops_sides, n_bits, k)
     return Program(
         n_bits=n_bits,

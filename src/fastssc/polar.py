@@ -381,22 +381,19 @@ def load_spec(path):
 
 
 def _mask_to_hex(mask):
-    # most significant nibble holds the lowest indices
-    n = mask.size
-    width = (n + 3) // 4
-    v = 0
-    for j in np.flatnonzero(mask):
-        v |= 1 << (4 * width - 1 - int(j))
-    return format(v, f"0{width}x")
+    # most significant nibble holds the lowest indices; packbits pads the
+    # last byte with zeros, and a digit past ceil(N/4) is padding only
+    return np.packbits(mask).tobytes().hex()[: (mask.size + 3) // 4]
 
 
 def spec_from_text(text):
     """Parse the mask file format: N=, k=, optional design_sigma2=, mask line.
 
     The mask line is either a hex bitmask (most significant nibble = lowest
-    indices, exactly ceil(N/4) digits) or a sorted decimal index list
-    separated by spaces or commas.  A bare token of exactly ceil(N/4) hex
-    digits is always read as hex.
+    indices, exactly ceil(N/4) digits 0-9, a-f or A-F, with no sign, 0x
+    prefix or underscore) or a sorted decimal index list separated by spaces
+    or commas.  A bare token of exactly ceil(N/4) hex digits is always read
+    as hex; any other token is read as a decimal index.
     """
     header = {}
     mask_line = None
@@ -448,16 +445,16 @@ def spec_from_text(text):
 def _parse_mask_line(line, N, lineno):
     width = (N + 3) // 4
     token = line.replace(",", " ").split()
-    if len(token) == 1 and len(token[0]) == width and _is_hex(token[0]):
-        v = int(token[0], 16)
-        bits = 4 * width
-        mask = np.zeros(N, dtype=bool)
-        for j in range(bits):
-            if (v >> (bits - 1 - j)) & 1:
-                if j >= N:
-                    raise MaskFileError(f"line {lineno}: padding bits must be zero")
-                mask[j] = True
-        return mask
+    if len(token) == 1 and len(token[0]) == width:
+        try:  # hex digits only: a sign, 0x or _ makes a decimal token
+            raw = bytes.fromhex(token[0] + "0" * (width % 2))
+        except ValueError:
+            pass
+        else:
+            bits = np.unpackbits(np.frombuffer(raw, np.uint8))
+            if bits[N:].any():
+                raise MaskFileError(f"line {lineno}: padding bits must be zero")
+            return bits[:N].astype(bool)
     mask = np.zeros(N, dtype=bool)
     prev = -1
     for t in token:
@@ -472,11 +469,3 @@ def _parse_mask_line(line, N, lineno):
         mask[j] = True
         prev = j
     return mask
-
-
-def _is_hex(tok):
-    try:
-        int(tok, 16)
-        return True
-    except ValueError:
-        return False

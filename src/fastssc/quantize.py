@@ -72,16 +72,19 @@ def parse_quant(text):
 def check_channel_llrs(llrs, quant):
     """Raise ValueError unless the array llrs of (..., N) channel vectors is a
     decoder's valid input: with a scheme, integers within its channel range;
-    without, floats within float_limit(N), which NaN and +-inf fail, so that no
-    float step overflows and the library's F needs no NaN rule.  With the
-    library, a float `execute` checks the limit in the first step that reads
-    the input and calls this only to raise."""
+    without, real floats within float_limit(N), which NaN and +-inf fail, so
+    that no float step overflows and the library's F needs no NaN rule (a
+    complex dtype fails too: a decode would drop or compute on the imaginary
+    part).  With the library, a float `execute` checks the limit in the first
+    step that reads the input and calls this only to raise."""
     if quant is not None:
         if llrs.dtype.kind not in "iu":
             raise ValueError("fixed-point decoding expects integer channel LLRs")
         lim = quant.channel_limit
         if llrs.size and (int(llrs.min()) < -lim or int(llrs.max()) > lim):
             raise ValueError(f"channel LLRs exceed the +-{lim} channel range")
+    elif llrs.dtype.kind == "c":
+        raise ValueError("float decoding expects real channel LLRs, not complex")
     elif llrs.size:
         # min and max carry any NaN or infinity, with no mask of llrs' shape
         lo, hi = llrs.min(), llrs.max()

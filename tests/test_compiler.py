@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import struct
+from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
 import numpy as np
@@ -243,6 +244,26 @@ def test_binary_round_trip():
         back = parse_program_binary(blob)
         assert back.instructions == prog.instructions
         assert (back.n_bits, back.k, back.p) == (prog.n_bits, prog.k, prog.p)
+
+
+def test_program_fields_are_frozen():
+    """table, spec, the cycle model and the formats all read the walk that
+    checked the program on construction, so no field can change after it."""
+    spec = construct_frozen_set(10, 512, ebno_to_sigma2(4.0, 0.5))
+    prog = compile_tree(build_tree(spec, 256))
+    rows, cycles = len(prog.instructions), estimate_latency(prog)
+    for name, value in (("k", 100), ("n_bits", 9), ("p", 64),
+                        ("instructions", prog.instructions[:5])):
+        with pytest.raises(FrozenInstanceError):
+            setattr(prog, name, value)
+    assert (prog.k, len(prog.instructions), estimate_latency(prog)) == (512, rows, cycles)
+    assert prog.table.shape == (rows, 3) and prog.spec.k == 512
+    assert np.array_equal(prog.spec.frozen_mask, spec.frozen_mask)
+    assert parse_program(serialize_program(prog)) == prog
+    clone = pickle.loads(pickle.dumps(prog))
+    assert clone == prog and clone is not prog and clone._plans == {}
+    assert np.array_equal(clone.table, prog.table) and clone.spec.k == 512
+    assert prog != compile_tree(build_tree(spec, 64))  # P is a compared field
 
 
 def test_binary_rejects_corruption():

@@ -274,6 +274,24 @@ def test_rejects_non_finite_llrs():
     assert not execute(prog, np.full(32, 1e300)).any()
 
 
+
+@pytest.mark.parametrize("lib", ["default", None])
+def test_rejects_complex_llrs(lib, monkeypatch):
+    """A complex dtype would lose its imaginary part in the cast to float64,
+    or, in sc_decode, decide on complex arithmetic; both refuse it."""
+    if lib is None:
+        monkeypatch.setattr(_clib, "library", lambda: None)
+    spec = construct_frozen_set(6, 32, 0.5)
+    prog = compile_tree(build_tree(spec, 16))
+    _, _, llr = noisy_llrs(spec, 8, 3.0, seed=30)
+    for bad in (llr.astype(np.complex128), llr.astype(np.complex64), llr + 1j * llr[::-1]):
+        for run in (lambda: execute(prog, bad), lambda: execute(prog, bad[0]),
+                    lambda: sc_decode(bad, spec)):
+            with pytest.raises(ValueError, match="real channel LLRs"):
+                run()
+    assert np.array_equal(execute(prog, llr), sc_decode(llr, spec))
+
+
 @pytest.mark.parametrize("scheme", ["7:5:1", "8:8:0", "15:12:2", "16:16:0", "31:31:0"])
 def test_fixed_point_widths_match_reference_when_saturating(scheme):
     """Clean frames at the channel limit drive G into saturation at every width."""
